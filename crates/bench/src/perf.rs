@@ -20,7 +20,7 @@ use crate::parse_num;
 use drishti_core::config::DrishtiConfig;
 use drishti_policies::factory::PolicyKind;
 use drishti_sim::config::SystemConfig;
-use drishti_sim::engine::{Engine, EngineMode};
+use drishti_sim::engine::Engine;
 use drishti_sim::runner::{run_mix_cached, RunConfig};
 use drishti_sim::sampling::SamplingSpec;
 use drishti_sim::sweep::json::Json;
@@ -29,8 +29,8 @@ use drishti_sim::telemetry::TelemetrySpec;
 use drishti_trace::mix::Mix;
 use drishti_trace::presets::Benchmark;
 use drishti_trace::replay::TraceCache;
-use drishti_trace::store::write_trace;
-use drishti_trace::WorkloadGen;
+use drishti_trace::store::{write_trace, StoreError};
+use drishti_trace::{TraceRecord, WorkloadGen};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
@@ -48,7 +48,7 @@ pub const PERF_ACCESSES: u64 = 40_000;
 pub const PERF_QUICK_ACCESSES: u64 = 12_000;
 
 const PERF_USAGE: &str = "usage: drishti-perf [--trials N] [--accesses N] [--jobs N] [--out PATH] \
-[--compare PATH] [--engine lockstep|event] [--quick]";
+[--compare PATH] [--quick]";
 
 /// Command-line options of the `drishti-perf` binary.
 #[derive(Debug, Clone)]
@@ -67,9 +67,6 @@ pub struct PerfOpts {
     pub compare: Option<PathBuf>,
     /// Single fast trial at reduced scale (CI smoke / ci.sh snapshot).
     pub quick: bool,
-    /// Scheduling mode for every timed cell (the `engine_compare` block
-    /// always times both modes regardless).
-    pub engine: EngineMode,
 }
 
 impl Default for PerfOpts {
@@ -81,7 +78,6 @@ impl Default for PerfOpts {
             out: None,
             compare: None,
             quick: false,
-            engine: EngineMode::default(),
         }
     }
 }
@@ -121,11 +117,6 @@ impl PerfOpts {
                 }
                 "--compare" => {
                     opts.compare = Some(PathBuf::from(value(args, i, flag)?));
-                }
-                "--engine" => {
-                    let v = value(args, i, flag)?;
-                    opts.engine = EngineMode::parse(&v)
-                        .ok_or_else(|| format!("--engine must be lockstep or event, got {v}"))?;
                 }
                 other => return Err(format!("unknown argument {other}")),
             }
@@ -175,7 +166,7 @@ impl PerfOpts {
             record_llc_stream: false,
             sampling: SamplingSpec::off(),
             telemetry: TelemetrySpec::off(),
-            engine: self.engine,
+            engine: (),
         }
     }
 }
@@ -241,19 +232,6 @@ impl PassTiming {
     }
 }
 
-/// Cores of the idle-heavy engine-comparison cell: many idle cores make
-/// the lockstep scheduler's per-step O(cores) ready-core scan expensive
-/// while the event heap holds a single entry.
-pub const COMPARE_CORES: usize = 256;
-
-/// LLC slices of the engine-comparison cell. Deliberately decoupled from
-/// [`COMPARE_CORES`]: a per-core LLC at 256 cores would allocate half a
-/// gigabyte of tag planes, and walking them slows *both* modes with
-/// host-cache misses that have nothing to do with scheduling. A small
-/// fixed LLC keeps the per-step simulation work constant as the core
-/// count grows, so the measured ratio isolates the scheduler.
-pub const COMPARE_LLC_SLICES: usize = 8;
-
 /// Cores of the multi-chip throughput cell: the scaling study's 64-slice
 /// shape, every core active.
 pub const MULTICHIP_CORES: usize = 64;
@@ -269,25 +247,6 @@ pub struct MultichipTiming {
     pub timing: PassTiming,
     /// Inter-chip messages delivered during the best trial.
     pub interchip_messages: u64,
-}
-
-/// Lockstep-vs-event scheduler timing on the idle-heavy cell
-/// ([`COMPARE_CORES`] cores, one active low-MPKI Deepsjeng core, a single
-/// DRAM channel). Both modes simulate the identical workload and are
-/// asserted to produce bit-identical results before timing is reported.
-#[derive(Debug, Clone, Copy)]
-pub struct EngineCompare {
-    /// Best lockstep trial.
-    pub lockstep: PassTiming,
-    /// Best event-driven trial.
-    pub event: PassTiming,
-}
-
-impl EngineCompare {
-    /// Event-driven steps/sec over lockstep steps/sec (>1 = faster).
-    pub fn speedup(&self) -> f64 {
-        self.event.steps_per_sec() / self.lockstep.steps_per_sec()
-    }
 }
 
 /// The complete `drishti-perf/v1` measurement.
@@ -313,8 +272,6 @@ pub struct PerfReport {
     pub warm_ckpt: (u64, u64),
     /// `(records, file bytes)` of the trace-store encoding probe.
     pub trace_store: (u64, u64),
-    /// Lockstep-vs-event scheduler timing on the idle-heavy cell.
-    pub engine_compare: EngineCompare,
     /// Multi-chip cell timing ([`MULTICHIP_CORES`] cores over
     /// [`MULTICHIP_CHIPS`] chips, all cores active).
     pub multichip: MultichipTiming,
@@ -383,29 +340,6 @@ impl PerfReport {
         store.push("bytes", Json::UInt(self.trace_store.1));
         store.push("bytes_per_record", Json::Num(self.bytes_per_record()));
 
-        let mut engine = Json::obj();
-        engine.push("cores", Json::UInt(COMPARE_CORES as u64));
-        engine.push("active_cores", Json::UInt(1));
-        engine.push("llc_slices", Json::UInt(COMPARE_LLC_SLICES as u64));
-        engine.push("steps", Json::UInt(self.engine_compare.event.steps));
-        engine.push(
-            "lockstep_wall_sec",
-            Json::Num(self.engine_compare.lockstep.wall_sec),
-        );
-        engine.push(
-            "event_wall_sec",
-            Json::Num(self.engine_compare.event.wall_sec),
-        );
-        engine.push(
-            "lockstep_steps_per_sec",
-            Json::Num(self.engine_compare.lockstep.steps_per_sec()),
-        );
-        engine.push(
-            "event_steps_per_sec",
-            Json::Num(self.engine_compare.event.steps_per_sec()),
-        );
-        engine.push("speedup", Json::Num(self.engine_compare.speedup()));
-
         let mut multichip = Json::obj();
         multichip.push("cores", Json::UInt(MULTICHIP_CORES as u64));
         multichip.push("chips", Json::UInt(MULTICHIP_CHIPS as u64));
@@ -454,7 +388,6 @@ impl PerfReport {
         root.push("single_thread", single);
         root.push("sweep_pool", pool);
         root.push("trace_store", store);
-        root.push("engine_compare", engine);
         root.push("multichip", multichip);
         root.push("host", host);
         root.to_pretty_string()
@@ -509,93 +442,11 @@ fn steps_per_cell(opts: &PerfOpts) -> u64 {
     PERF_CORES as u64 * (opts.warmup() + opts.accesses)
 }
 
-/// Time the idle-heavy cell under both engine modes: [`COMPARE_CORES`]
-/// cores with only core 0 active (Deepsjeng, the matrix's lowest-MPKI
-/// benchmark), a single DRAM channel and a small fixed
-/// [`COMPARE_LLC_SLICES`]-slice LLC. The cell is deliberately
-/// scheduler-bound — 255 idle cores mean the lockstep loop scans the
-/// whole core array every step while the event heap pops its one entry —
-/// so its ratio isolates the scheduler, not the memory hierarchy. The
-/// usual §15 caveats apply on top: wall-clock on a shared host, best-of-N
-/// trials, and a ratio that shrinks as the active-core fraction grows.
-fn measure_engine_compare(opts: &PerfOpts, cache: &Arc<TraceCache>) -> EngineCompare {
-    let bench = Benchmark::Deepsjeng;
-    let seed = 1;
-    let len = opts.warmup() + opts.accesses;
-    // Pre-generate the trace so both modes replay identical records and
-    // neither pays the generator.
-    let _ = cache.replay(bench, seed, len);
-
-    let mut system = SystemConfig::paper_baseline(COMPARE_CORES);
-    system.dram = drishti_mem::dram::DramConfig::with_channels(1);
-    system.llc = drishti_mem::llc::LlcGeometry::per_core_2mb(COMPARE_LLC_SLICES);
-    // Engine construction (allocating the LLC planes and the 256-node
-    // mesh) is mode-independent and would dilute the ratio, so only
-    // `run()` itself is timed.
-    let run_once = |mode: EngineMode| {
-        let mut workloads: Vec<Option<Box<dyn WorkloadGen>>> =
-            (0..COMPARE_CORES).map(|_| None).collect();
-        workloads[0] = Some(Box::new(cache.replay(bench, seed, len)));
-        let pol = PolicyKind::Lru.build(&system.llc, DrishtiConfig::baseline(COMPARE_CORES));
-        let mut engine = Engine::new(
-            system.clone(),
-            workloads,
-            pol,
-            opts.accesses,
-            opts.warmup(),
-            false,
-        );
-        engine.set_mode(mode);
-        let t = Instant::now();
-        let per_core = engine.run();
-        let wall = t.elapsed().as_secs_f64();
-        let fingerprint = format!(
-            "{:?}|{:?}|{:?}|{:?}",
-            per_core,
-            engine.llc().stats(),
-            engine.dram().stats(),
-            engine.mesh().stats()
-        );
-        (wall, fingerprint)
-    };
-
-    let mut lockstep_wall = f64::INFINITY;
-    let mut event_wall = f64::INFINITY;
-    // The cell is short (one active core), so a higher trial floor is
-    // cheap and strips host-scheduler noise from the min-wall estimate.
-    for _ in 0..opts.trials.max(3) {
-        let (wl, rl) = run_once(EngineMode::Lockstep);
-        let (we, re) = run_once(EngineMode::EventDriven);
-        assert_eq!(
-            format!("{rl:?}"),
-            format!("{re:?}"),
-            "engine modes must produce bit-identical results"
-        );
-        lockstep_wall = lockstep_wall.min(wl);
-        event_wall = event_wall.min(we);
-    }
-    // One active core pulls one record per engine step.
-    let steps = len;
-    let accesses = opts.accesses;
-    EngineCompare {
-        lockstep: PassTiming {
-            wall_sec: lockstep_wall,
-            steps,
-            accesses,
-        },
-        event: PassTiming {
-            wall_sec: event_wall,
-            steps,
-            accesses,
-        },
-    }
-}
-
 /// Time the multi-chip cell: the scaling study's 64-slice / 4-chip shape
 /// with every core active on the heterogeneous fig13 workload set, under
-/// D-Mockingjay with the hierarchical predictor fabric. Unlike the
-/// idle-heavy engine-compare cell this one is interconnect-bound — every
-/// demand and predictor message can cross a serialized gateway — so its
+/// D-Mockingjay with the hierarchical predictor fabric. The cell is
+/// interconnect-bound — every demand and predictor message can cross a
+/// serialized gateway — so its
 /// steps/sec tracks the cost of the inter-chip link model itself. The
 /// best trial must have moved inter-chip traffic, or the cell silently
 /// degenerated into a flat mesh.
@@ -624,7 +475,6 @@ fn measure_multichip(opts: &PerfOpts, cache: &Arc<TraceCache>) -> MultichipTimin
             opts.warmup(),
             false,
         );
-        engine.set_mode(opts.engine);
         let t = Instant::now();
         let per_core = engine.run();
         let wall = t.elapsed().as_secs_f64();
@@ -647,6 +497,18 @@ fn measure_multichip(opts: &PerfOpts, cache: &Arc<TraceCache>) -> MultichipTimin
         },
         interchip_messages,
     }
+}
+
+/// Write `records` to `path` through the on-disk trace codec and return
+/// the file's size in bytes (`write_trace` itself returns a record count).
+fn write_trace_probe(
+    path: &Path,
+    label: &str,
+    seed: u64,
+    records: &[TraceRecord],
+) -> Result<u64, StoreError> {
+    write_trace(path, label, seed, records)?;
+    Ok(std::fs::metadata(path)?.len())
 }
 
 /// Run the pinned matrix and assemble the report. Traces are generated
@@ -738,11 +600,10 @@ pub fn run_perf(opts: &PerfOpts) -> PerfReport {
     let probe = &cells[0].mix;
     let records = cache.get(probe.benchmarks[0], probe.seeds[0], len);
     let path = std::env::temp_dir().join(format!("drishti-perf-{}.drtr", std::process::id()));
-    let bytes = write_trace(&path, probe.benchmarks[0].label(), probe.seeds[0], &records)
+    let bytes = write_trace_probe(&path, probe.benchmarks[0].label(), probe.seeds[0], &records)
         .expect("trace-store probe write");
     let _ = std::fs::remove_file(&path);
 
-    let engine_compare = measure_engine_compare(opts, &cache);
     let multichip = measure_multichip(opts, &cache);
 
     PerfReport {
@@ -760,7 +621,6 @@ pub fn run_perf(opts: &PerfOpts) -> PerfReport {
         trace_cache,
         warm_ckpt,
         trace_store: (records.len() as u64, bytes),
-        engine_compare,
         multichip,
     }
 }
@@ -807,17 +667,9 @@ pub fn compare_reports(report: &PerfReport, baseline_json: &str, tolerance: f64)
         );
         pairs.push(("sweep_pool", "steps_per_sec", report.pool.steps_per_sec()));
     }
-    // The engine-compare cell is shape-independent (steps/sec on the
-    // pinned idle-heavy cell), so the event-engine delta is always
-    // recorded when the baseline has the section.
-    pairs.push((
-        "engine_compare",
-        "event_steps_per_sec",
-        report.engine_compare.event.steps_per_sec(),
-    ));
-    // Likewise shape-independent: steps/sec on the pinned 64-core /
-    // 4-chip cell. Baselines that predate multi-chip support lack the
-    // section and skip cleanly.
+    // Shape-independent: steps/sec on the pinned 64-core / 4-chip cell.
+    // Baselines that predate multi-chip support lack the section and
+    // skip cleanly.
     pairs.push((
         "multichip",
         "steps_per_sec",
@@ -914,6 +766,20 @@ mod tests {
         assert_eq!(extract_metric(json, "sweep_pool", "missing"), None);
     }
 
+    #[test]
+    fn trace_store_bytes_are_the_file_size() {
+        let records = Benchmark::Mcf.build(7).collect(5_000);
+        let path = std::env::temp_dir().join(format!(
+            "drishti-perf-test-{}-bytes.drtr",
+            std::process::id()
+        ));
+        let bytes = write_trace_probe(&path, "mcf", 7, &records).unwrap();
+        let on_disk = std::fs::metadata(&path).unwrap().len();
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(bytes, on_disk);
+        assert_ne!(bytes, records.len() as u64, "a record count, not a size");
+    }
+
     fn fake_report(accesses: u64) -> PerfReport {
         let mut opts = parse(&[]).unwrap();
         opts.accesses = accesses;
@@ -933,10 +799,6 @@ mod tests {
             trace_cache: (0, 0),
             warm_ckpt: (0, 0),
             trace_store: (1, 1),
-            engine_compare: EngineCompare {
-                lockstep: pass,
-                event: pass,
-            },
             multichip: MultichipTiming {
                 timing: pass,
                 interchip_messages: 1,

@@ -48,17 +48,10 @@ pub const VERSION: u32 = 1;
 /// File extension used by convention (`<run>.drck`).
 pub const EXTENSION: &str = "drck";
 
-/// Required section names in the order they are written and restored.
+/// Section names in the order they are written and restored. Restore
+/// looks sections up by name and ignores any it does not know, such as
+/// the `events` section older writers appended after these five.
 pub const SECTIONS: [&str; 5] = ["cores", "llc", "dram", "mesh", "sim"];
-
-/// Optional sections written after the required five. A reader that does
-/// not know an optional section skips it (restore looks sections up by
-/// name), and a file that lacks one restores fine — which is how the
-/// `events` section (PR 8) extends `drishti-ckpt/v1` without a version
-/// bump: old snapshots restore into new readers (the event heap is
-/// rebuilt lazily from component state) and new snapshots restore into
-/// old readers (the extra section is simply never looked up).
-pub const OPTIONAL_SECTIONS: [&str; 1] = ["events"];
 
 /// FNV-1a 64-bit hash — the same flavour that guards trace frames, good
 /// enough to catch corruption (not an integrity MAC).
@@ -183,8 +176,8 @@ pub fn save_engine_bytes(engine: &Engine) -> Vec<u8> {
     out.extend_from_slice(&MAGIC);
     out.extend_from_slice(&VERSION.to_le_bytes());
     out.extend_from_slice(&config_hash(engine).to_le_bytes());
-    out.extend_from_slice(&((SECTIONS.len() + OPTIONAL_SECTIONS.len()) as u32).to_le_bytes());
-    for name in SECTIONS.iter().chain(OPTIONAL_SECTIONS.iter()).copied() {
+    out.extend_from_slice(&(SECTIONS.len() as u32).to_le_bytes());
+    for name in SECTIONS {
         let mut w = StateWriter::new();
         match name {
             "cores" => engine.save_cores(&mut w),
@@ -192,7 +185,6 @@ pub fn save_engine_bytes(engine: &Engine) -> Vec<u8> {
             "dram" => engine.save_dram(&mut w),
             "mesh" => engine.save_mesh(&mut w),
             "sim" => engine.save_sim_state(&mut w),
-            "events" => engine.save_events(&mut w),
             _ => unreachable!("unknown section in SECTIONS"),
         }
         let payload = w.into_bytes();
@@ -349,23 +341,6 @@ pub fn restore_engine_bytes(engine: &mut Engine, bytes: &[u8]) -> Result<(), Ckp
             });
         }
     }
-    // Optional sections: absent in pre-event snapshots, in which case the
-    // engine rebuilds the event heap lazily from the state restored above.
-    if let Some((_, payload)) = sections.iter().find(|(n, _)| n == "events") {
-        let mut r = drishti_noc::snap::StateReader::new(payload);
-        engine
-            .load_events(&mut r)
-            .map_err(|e| CkptError::SectionDecode {
-                section: "events",
-                detail: e.to_string(),
-            })?;
-        if r.remaining() != 0 {
-            return Err(CkptError::SectionDecode {
-                section: "events",
-                detail: format!("{} trailing bytes after state", r.remaining()),
-            });
-        }
-    }
     Ok(())
 }
 
@@ -504,7 +479,7 @@ mod tests {
         // Walk the container to find each section's payload extent, flip
         // one byte in the middle, and demand the error names that section.
         let mut pos = 8 + 4 + 8 + 4;
-        for &expected_name in SECTIONS.iter().chain(OPTIONAL_SECTIONS.iter()) {
+        for expected_name in SECTIONS {
             let name_len = u16::from_le_bytes(bytes[pos..pos + 2].try_into().unwrap()) as usize;
             let name = std::str::from_utf8(&bytes[pos + 2..pos + 2 + name_len])
                 .unwrap()
@@ -537,10 +512,10 @@ mod tests {
         // header is magic (8) + version (4) + config hash (8) = 20 bytes,
         // then the section count.
         let mut out = bytes[..20].to_vec();
-        let kept = (SECTIONS.len() + OPTIONAL_SECTIONS.len() - 1) as u32;
+        let kept = (SECTIONS.len() - 1) as u32;
         out.extend_from_slice(&kept.to_le_bytes());
         let mut pos = 20 + 4;
-        for name in SECTIONS.iter().chain(OPTIONAL_SECTIONS.iter()).copied() {
+        for name in SECTIONS {
             let name_len = u16::from_le_bytes(bytes[pos..pos + 2].try_into().unwrap()) as usize;
             let len_at = pos + 2 + name_len;
             let payload_len =
@@ -557,103 +532,43 @@ mod tests {
         ));
     }
 
-    /// Rebuild the container with the section named `drop` removed.
-    fn without_section(bytes: &[u8], drop: &str) -> Vec<u8> {
-        let mut out = bytes[..20].to_vec();
-        let kept = (SECTIONS.len() + OPTIONAL_SECTIONS.len() - 1) as u32;
-        out.extend_from_slice(&kept.to_le_bytes());
-        let mut pos = 20 + 4;
-        for name in SECTIONS.iter().chain(OPTIONAL_SECTIONS.iter()).copied() {
-            let name_len = u16::from_le_bytes(bytes[pos..pos + 2].try_into().unwrap()) as usize;
-            let len_at = pos + 2 + name_len;
-            let payload_len =
-                u64::from_le_bytes(bytes[len_at..len_at + 8].try_into().unwrap()) as usize;
-            let end = len_at + 8 + 8 + payload_len;
-            if name != drop {
-                out.extend_from_slice(&bytes[pos..end]);
-            }
-            pos = end;
-        }
-        out
-    }
-
-    /// Rebuild the container with the "events" payload replaced.
-    fn with_events_payload(bytes: &[u8], payload: &[u8]) -> Vec<u8> {
-        let mut out = bytes[..20 + 4].to_vec();
-        let mut pos = 20 + 4;
-        for name in SECTIONS.iter().chain(OPTIONAL_SECTIONS.iter()).copied() {
-            let name_len = u16::from_le_bytes(bytes[pos..pos + 2].try_into().unwrap()) as usize;
-            let len_at = pos + 2 + name_len;
-            let payload_len =
-                u64::from_le_bytes(bytes[len_at..len_at + 8].try_into().unwrap()) as usize;
-            let end = len_at + 8 + 8 + payload_len;
-            if name == "events" {
-                out.extend_from_slice(&(name.len() as u16).to_le_bytes());
-                out.extend_from_slice(name.as_bytes());
-                out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-                out.extend_from_slice(&fnv1a64(payload).to_le_bytes());
-                out.extend_from_slice(payload);
-            } else {
-                out.extend_from_slice(&bytes[pos..end]);
-            }
-            pos = end;
-        }
-        out
-    }
-
     #[test]
-    fn pre_event_snapshot_without_events_section_restores() {
-        // A snapshot written before the events section existed (the five
-        // required sections only) must keep restoring: the event heap is
-        // rebuilt lazily, and a rebuilt heap pops identically.
-        let (mut orig, bytes) = mid_run_checkpoint(PolicyKind::Mockingjay);
-        let old_format = without_section(&bytes, "events");
-        let expect = orig.run();
-        let mut resumed = engine_for(PolicyKind::Mockingjay, 7);
-        restore_engine_bytes(&mut resumed, &old_format).unwrap();
-        assert_eq!(resumed.run(), expect);
-        assert_eq!(resumed.llc().stats(), orig.llc().stats());
-    }
-
-    #[test]
-    fn event_heap_restore_is_byte_stable() {
-        // Mid-run the (default, event-driven) engine holds a live wakeup
-        // heap; restore must install it such that an immediate re-save
-        // reproduces the exact container bytes (the canonical heap
-        // encoding makes this well-defined), and the resumed run must be
-        // bit-identical.
+    fn legacy_events_section_is_ignored_and_never_written() {
         let (mut orig, bytes) = mid_run_checkpoint(PolicyKind::Srrip);
         let expect = orig.run();
-        let mut resumed = engine_for(PolicyKind::Srrip, 7);
-        restore_engine_bytes(&mut resumed, &bytes).unwrap();
-        assert_eq!(
-            save_engine_bytes(&resumed),
-            bytes,
-            "restore → save must round-trip byte-identically"
-        );
-        assert_eq!(resumed.run(), expect);
-    }
 
-    #[test]
-    fn contradictory_event_heap_is_refused_with_a_typed_error() {
-        // A checksum-valid events section whose heap names a core this
-        // system does not have must fail as a typed section-decode error,
-        // never a panic or a silent repair.
-        let (_, bytes) = mid_run_checkpoint(PolicyKind::Lru);
-        let mut w = drishti_noc::snap::StateWriter::new();
-        w.put_u8(1); // mode tag: event-driven
-        w.put_u8(1); // has_heap = true
-        w.put_u64(1); // one heap entry
-        w.put_u64(0); // tick
-        w.put_u64(99); // ComponentId::Core(99) — no such core
-        let crafted = with_events_payload(&bytes, w.bytes());
-        let mut e = engine_for(PolicyKind::Lru, 7);
-        match restore_engine_bytes(&mut e, &crafted) {
-            Err(CkptError::SectionDecode {
-                section: "events",
-                detail,
-            }) => assert!(detail.contains("core"), "unhelpful detail: {detail}"),
-            other => panic!("expected events decode error, got {other:?}"),
+        // A fresh snapshot holds exactly the five sections, in order.
+        let names = parse_sections(&bytes, config_hash(&orig))
+            .unwrap()
+            .into_iter()
+            .map(|(n, _)| n)
+            .collect::<Vec<_>>();
+        assert_eq!(names, SECTIONS);
+
+        // Older writers appended a checksum-valid `events` section. Restore
+        // is by section name, so whatever its payload, it is skipped.
+        for payload in [
+            &b""[..],
+            &[1, 1, 0, 0, 0, 0, 0, 0, 0, 0][..],
+            &[0xff; 37][..],
+        ] {
+            let mut legacy = bytes.clone();
+            legacy[20..24].copy_from_slice(&(SECTIONS.len() as u32 + 1).to_le_bytes());
+            legacy.extend_from_slice(&6u16.to_le_bytes());
+            legacy.extend_from_slice(b"events");
+            legacy.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+            legacy.extend_from_slice(&fnv1a64(payload).to_le_bytes());
+            legacy.extend_from_slice(payload);
+
+            let mut resumed = engine_for(PolicyKind::Srrip, 7);
+            restore_engine_bytes(&mut resumed, &legacy).unwrap();
+            assert_eq!(
+                save_engine_bytes(&resumed),
+                bytes,
+                "restore → save must drop the legacy section and round-trip byte-identically"
+            );
+            assert_eq!(resumed.run(), expect);
+            assert_eq!(resumed.llc().stats(), orig.llc().stats());
         }
     }
 

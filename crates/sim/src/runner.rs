@@ -8,7 +8,7 @@
 
 use crate::config::SystemConfig;
 use crate::energy::EnergyBreakdown;
-use crate::engine::{CoreResult, Engine, EngineMode};
+use crate::engine::{CoreResult, Engine};
 use crate::metrics::{FaultSummary, MixMetrics};
 use crate::sampling::SamplingSpec;
 use crate::telemetry::{TelemetrySpec, TelemetryTimeline};
@@ -41,9 +41,10 @@ pub struct RunConfig {
     pub sampling: SamplingSpec,
     /// Epoch-sampled telemetry (off by default; see [`crate::telemetry`]).
     pub telemetry: TelemetrySpec,
-    /// Scheduling mode (event-driven by default; lockstep kept for
-    /// differential testing — both produce bit-identical results).
-    pub engine: EngineMode,
+    /// Carries no setting: the engine has a single scheduler. Kept only
+    /// so existing `RunConfig { engine: Default::default(), .. }` struct
+    /// literals keep compiling.
+    pub engine: (),
 }
 
 impl RunConfig {
@@ -56,7 +57,7 @@ impl RunConfig {
             record_llc_stream: false,
             sampling: SamplingSpec::off(),
             telemetry: TelemetrySpec::off(),
-            engine: EngineMode::default(),
+            engine: (),
         }
     }
 
@@ -69,7 +70,7 @@ impl RunConfig {
             record_llc_stream: false,
             sampling: SamplingSpec::off(),
             telemetry: TelemetrySpec::off(),
-            engine: EngineMode::default(),
+            engine: (),
         }
     }
 }
@@ -261,7 +262,6 @@ fn run_engine(
         rc.warmup_accesses,
         rc.record_llc_stream,
     );
-    engine.set_mode(rc.engine);
     engine.set_sampling(rc.sampling);
     engine.set_telemetry(rc.telemetry);
     // Warm-state reuse. Skipped under interval sampling, where warm-up is
@@ -363,7 +363,6 @@ pub fn run_with_workloads_checkpointed(
         rc.warmup_accesses,
         rc.record_llc_stream,
     );
-    engine.set_mode(rc.engine);
     engine.set_sampling(rc.sampling);
     engine.set_telemetry(rc.telemetry);
     if let Some(path) = ckpt.restore {
@@ -570,7 +569,7 @@ mod tests {
             record_llc_stream: false,
             sampling: SamplingSpec::off(),
             telemetry: TelemetrySpec::off(),
-            engine: EngineMode::default(),
+            engine: (),
         }
     }
 

@@ -1,221 +1,25 @@
-//! Lockstep-vs-event-driven scheduler equivalence suite (DESIGN.md §16).
+//! Checkpoint seam of the event-driven scheduler (DESIGN.md §16).
 //!
-//! The discrete-event engine replaces the lockstep scheduler's per-step
-//! O(cores) ready-core scan with a deterministic min-heap of
-//! `(next_tick, ComponentId)` wakeups. The two modes are contractually
-//! **bit-identical**: same `RunResult`, same golden metrics, same
-//! telemetry timelines, same fault summaries — for every policy, both
-//! organisations, healthy and faulty systems, and across checkpoint
-//! seams. This suite is that contract:
-//!
-//! 1. Differential sweep over the fig13 preset mixes × the full policy
-//!    roster × both organisations.
-//! 2. Six-decimal golden metrics (IPC/MPKI/weighted speedup) match.
-//! 3. Telemetry timeline JSON matches epoch by epoch.
-//! 4. Fault summaries match under drops, jitter, link and DRAM outages.
-//! 5. Property tests over random geometries, seeds, and fault configs.
-//! 6. Scheduler determinism with heterogeneous clock dividers.
-//! 7. Checkpoint seams under the event engine — `run(N)` equals
-//!    `run(k); save; restore; run(N − k)` — and cross-mode restores
-//!    round-trip bit-identically.
+//! The engine orders core steps on a min-heap of `(sched_key, core)`
+//! entries that `run_steps` rebuilds from core state on every call, so
+//! nothing scheduler-related is saved in a checkpoint. A snapshot taken
+//! mid-run must still resume exactly where the uninterrupted run would
+//! be: `run(N)` equals `run(k); save; restore; run(N − k)`.
 
 use drishti::core::config::DrishtiConfig;
-use drishti::noc::faults::{FaultConfig, OutageWindow};
-use drishti::policies::factory::{all_policies, PolicyKind};
+use drishti::policies::factory::PolicyKind;
 use drishti::sim::ckpt::{restore_engine_bytes, save_engine_bytes};
 use drishti::sim::config::SystemConfig;
-use drishti::sim::engine::{Engine, EngineMode};
-use drishti::sim::runner::{alone_ipcs, mix_metrics, run_mix, RunConfig, RunResult};
-use drishti::sim::sampling::SamplingSpec;
-use drishti::sim::telemetry::TelemetrySpec;
-use drishti::trace::mix::{paper_mixes, Mix};
+use drishti::sim::engine::Engine;
+use drishti::trace::mix::Mix;
 use drishti::trace::presets::Benchmark;
 use drishti::trace::WorkloadGen;
-use proptest::prelude::*;
 
 const CORES: usize = 4;
 const ACCESSES: u64 = 3_000;
 const WARMUP: u64 = 400;
 
-fn rc_for(system: SystemConfig, mode: EngineMode) -> RunConfig {
-    RunConfig {
-        system,
-        accesses_per_core: ACCESSES,
-        warmup_accesses: WARMUP,
-        record_llc_stream: false,
-        sampling: SamplingSpec::off(),
-        telemetry: TelemetrySpec::off(),
-        engine: mode,
-    }
-}
-
-/// Run the same cell under both modes and return the two results.
-fn both_modes(
-    mix: &Mix,
-    policy: PolicyKind,
-    org: DrishtiConfig,
-    system: SystemConfig,
-) -> (RunResult, RunResult) {
-    let lockstep = run_mix(
-        mix,
-        policy,
-        org.clone(),
-        &rc_for(system.clone(), EngineMode::Lockstep),
-    );
-    let event = run_mix(mix, policy, org, &rc_for(system, EngineMode::EventDriven));
-    (lockstep, event)
-}
-
-/// Bit-identity across every field, via the full Debug rendering (the
-/// strongest equality the result offers — it covers per-core counters,
-/// LLC/DRAM/mesh/fabric stats, energy, diagnostics, and the timeline).
-fn assert_identical(lockstep: &RunResult, event: &RunResult, label: &str) {
-    assert_eq!(
-        format!("{lockstep:?}"),
-        format!("{event:?}"),
-        "{label}: event-driven run diverged from lockstep"
-    );
-    assert_eq!(
-        lockstep.fault_summary(),
-        event.fault_summary(),
-        "{label}: fault summaries diverged"
-    );
-}
-
-/// 1 + 2. The headline differential: every policy × both organisations on
-/// the fig13 preset mixes, with the golden six-decimal metric rendering
-/// compared on top of raw bit-identity.
-#[test]
-fn every_policy_and_org_is_bit_identical_on_fig13_mixes() {
-    for mix in paper_mixes(CORES, 1, 1) {
-        let alone = alone_ipcs(
-            &mix,
-            &rc_for(SystemConfig::paper_baseline(CORES), EngineMode::Lockstep),
-        );
-        for policy in all_policies() {
-            for org in [
-                DrishtiConfig::baseline(CORES),
-                DrishtiConfig::drishti(CORES),
-            ] {
-                let label = format!("{}/{}/{}", mix.name, policy.label(), org.label());
-                let (lockstep, event) =
-                    both_modes(&mix, policy, org, SystemConfig::paper_baseline(CORES));
-                assert_identical(&lockstep, &event, &label);
-                let ml = mix_metrics(&lockstep, &alone);
-                let me = mix_metrics(&event, &alone);
-                assert_eq!(
-                    format!(
-                        "{:.6} {:.6} {:.6}",
-                        lockstep.total_ipc(),
-                        lockstep.llc_mpki(),
-                        ml.weighted_speedup()
-                    ),
-                    format!(
-                        "{:.6} {:.6} {:.6}",
-                        event.total_ipc(),
-                        event.llc_mpki(),
-                        me.weighted_speedup()
-                    ),
-                    "{label}: golden metrics diverged"
-                );
-            }
-        }
-    }
-}
-
-/// 3. Telemetry timelines are sampled at identical epoch boundaries in
-///    both modes (passive wakeups do not count as engine steps), so the
-///    serialised `drishti-telemetry/v1` JSON matches byte for byte.
-#[test]
-fn telemetry_timelines_match_across_modes() {
-    let mix = Mix::heterogeneous(&Benchmark::spec_and_gap(), CORES, 5);
-    let mut rcs = [
-        rc_for(SystemConfig::paper_baseline(CORES), EngineMode::Lockstep),
-        rc_for(SystemConfig::paper_baseline(CORES), EngineMode::EventDriven),
-    ];
-    for rc in &mut rcs {
-        rc.telemetry = TelemetrySpec::sampling(500);
-    }
-    let [lockstep_rc, event_rc] = rcs;
-    let lockstep = run_mix(
-        &mix,
-        PolicyKind::Mockingjay,
-        DrishtiConfig::drishti(CORES),
-        &lockstep_rc,
-    );
-    let event = run_mix(
-        &mix,
-        PolicyKind::Mockingjay,
-        DrishtiConfig::drishti(CORES),
-        &event_rc,
-    );
-    let tl_lockstep = lockstep.telemetry.as_ref().expect("telemetry on");
-    let tl_event = event.telemetry.as_ref().expect("telemetry on");
-    assert!(!tl_lockstep.epochs.is_empty());
-    assert_eq!(
-        tl_lockstep.to_json_string(),
-        tl_event.to_json_string(),
-        "timeline JSON diverged between modes"
-    );
-    assert_identical(&lockstep, &event, "telemetry cell");
-}
-
-/// 4. Fault injection — drops, jitter, a recurring link outage, and a
-///    DRAM channel outage window at once — produces the same fault
-///    stream and the same summaries in both modes.
-#[test]
-fn faulty_runs_match_including_fault_summaries() {
-    let mut faults = FaultConfig::with_drops(21, 8.0);
-    faults.jitter = 3;
-    faults.link_outage_period = 6_000;
-    faults.link_outage_len = 900;
-    faults.dram_outages.push(OutageWindow {
-        channel: 0,
-        start: 2_000,
-        len: 1_500,
-    });
-    let mut system = SystemConfig::with_faults(CORES, faults.clone());
-    system.dram = drishti::mem::dram::DramConfig::with_channels(2);
-    let mix = Mix::heterogeneous(&Benchmark::spec_and_gap(), CORES, 3);
-    for policy in [PolicyKind::Lru, PolicyKind::Mockingjay] {
-        let org = DrishtiConfig::drishti(CORES).with_faults(faults.clone());
-        let (lockstep, event) = both_modes(&mix, policy, org, system.clone());
-        assert!(
-            !lockstep.fault_summary().is_clean(),
-            "{policy}: faults must actually fire for this test to bite"
-        );
-        assert_identical(&lockstep, &event, &format!("faulty/{policy}"));
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
-
-    /// 5. Random geometries, seeds, and fault configurations: the two
-    /// schedulers stay bit-identical everywhere, not just on the pinned
-    /// cells above.
-    #[test]
-    fn random_cells_are_bit_identical(
-        cores_idx in 0usize..3,
-        seed in 0u64..1_000,
-        drop_pct in 0u8..20,
-        jitter in 0u64..4,
-        pol_idx in 0usize..all_policies().len(),
-    ) {
-        let cores = [2, 4, 8][cores_idx];
-        let mut faults = FaultConfig::with_drops(seed, f64::from(drop_pct));
-        faults.jitter = jitter;
-        let system = SystemConfig::with_faults(cores, faults.clone());
-        let mix = Mix::heterogeneous(&Benchmark::spec_and_gap(), cores, seed);
-        let policy = all_policies()[pol_idx];
-        let org = DrishtiConfig::drishti(cores).with_faults(faults);
-        let (lockstep, event) = both_modes(&mix, policy, org, system);
-        prop_assert_eq!(format!("{lockstep:?}"), format!("{event:?}"));
-        prop_assert_eq!(lockstep.fault_summary(), event.fault_summary());
-    }
-}
-
-fn engine_with_mode(mode: EngineMode, dividers: Option<&[u64]>) -> Engine {
+fn engine() -> Engine {
     let mix = Mix::heterogeneous(&Benchmark::spec_and_gap(), CORES, 9);
     let cfg = SystemConfig::paper_baseline(CORES);
     let workloads = mix
@@ -224,89 +28,24 @@ fn engine_with_mode(mode: EngineMode, dividers: Option<&[u64]>) -> Engine {
         .map(|w| Some(Box::new(w) as Box<dyn WorkloadGen>))
         .collect();
     let pol = PolicyKind::Mockingjay.build(&cfg.llc, DrishtiConfig::drishti(CORES));
-    let mut engine = Engine::new(cfg, workloads, pol, ACCESSES, WARMUP, false);
-    engine.set_mode(mode);
-    if let Some(d) = dividers {
-        engine.set_clock_dividers(d.to_vec());
-    }
-    engine
+    Engine::new(cfg, workloads, pol, ACCESSES, WARMUP, false)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// 6. Heterogeneous per-core clock dividers are scheduling semantics,
-    /// honoured identically by both modes: the event heap orders cores by
-    /// `cycle × divider` exactly as the lockstep scan does, so results
-    /// stay bit-identical for any divider assignment — and the event
-    /// engine is deterministic across repeated runs.
-    #[test]
-    fn clock_dividers_stay_equivalent_and_deterministic(
-        d0 in 1u64..5, d1 in 1u64..5, d2 in 1u64..5, d3 in 1u64..5,
-    ) {
-        let dividers = [d0, d1, d2, d3];
-        let mut lockstep = engine_with_mode(EngineMode::Lockstep, Some(&dividers));
-        let mut event_a = engine_with_mode(EngineMode::EventDriven, Some(&dividers));
-        let mut event_b = engine_with_mode(EngineMode::EventDriven, Some(&dividers));
-        let rl = lockstep.run();
-        let ra = event_a.run();
-        let rb = event_b.run();
-        prop_assert_eq!(&ra, &rl, "event diverged from lockstep under dividers {:?}", dividers);
-        prop_assert_eq!(&ra, &rb, "event engine must be deterministic");
-        prop_assert_eq!(lockstep.llc().stats(), event_a.llc().stats());
-        prop_assert_eq!(lockstep.dram().stats(), event_a.dram().stats());
-    }
-}
-
-/// 7a. The checkpoint seam under the event engine: `run(N)` equals
-/// `run(k); save; restore; run(N − k)` for several split points,
-/// including one before warm-up completes.
+/// `run(N)` equals `run(k); save; restore; run(N − k)` for several split
+/// points, including one before warm-up completes.
 #[test]
 fn event_engine_checkpoint_seam_is_bit_identical() {
-    let mut whole = engine_with_mode(EngineMode::EventDriven, None);
+    let mut whole = engine();
     let expect = whole.run();
     for k in [1u64, 300, 3_000, 9_000] {
-        let mut first = engine_with_mode(EngineMode::EventDriven, None);
+        let mut first = engine();
         first.run_steps(k);
         let bytes = save_engine_bytes(&first);
-        let mut second = engine_with_mode(EngineMode::EventDriven, None);
+        let mut second = engine();
         restore_engine_bytes(&mut second, &bytes)
             .unwrap_or_else(|e| panic!("k={k}: restore failed: {e}"));
         assert_eq!(second.run(), expect, "k={k}: seam diverged");
         assert_eq!(second.llc().stats(), whole.llc().stats(), "k={k}");
         assert_eq!(second.dram().stats(), whole.dram().stats(), "k={k}");
-    }
-}
-
-/// 7b. Cross-mode restores round-trip bit-identically in both directions:
-/// a snapshot taken under either scheduler restores into the other and
-/// the continued run matches an uninterrupted run of the target mode
-/// (which in turn equals the source mode, by the tests above).
-#[test]
-fn cross_mode_restore_round_trips_bit_identically() {
-    let mut whole = engine_with_mode(EngineMode::Lockstep, None);
-    let expect = whole.run();
-    for (from, to) in [
-        (EngineMode::Lockstep, EngineMode::EventDriven),
-        (EngineMode::EventDriven, EngineMode::Lockstep),
-    ] {
-        let mut first = engine_with_mode(from, None);
-        first.run_steps(2_500);
-        let bytes = save_engine_bytes(&first);
-        let mut second = engine_with_mode(to, None);
-        restore_engine_bytes(&mut second, &bytes).unwrap_or_else(|e| {
-            panic!(
-                "{}->{}: cross-mode restore failed: {e}",
-                from.name(),
-                to.name()
-            )
-        });
-        assert_eq!(
-            second.run(),
-            expect,
-            "{}->{}: cross-mode continuation diverged",
-            from.name(),
-            to.name()
-        );
     }
 }
