@@ -25,6 +25,11 @@ fi
 step "cargo test --offline"
 cargo test -q --offline --workspace
 
+# perfbench is a package of its own (not a workspace member) that compiles
+# against the crates' public API, so the workspace build never covers it.
+step "cargo test --offline --manifest-path perfbench/Cargo.toml"
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
 step "cargo fmt --check"
 cargo fmt --check
 

@@ -207,10 +207,9 @@ pub struct FillResult {
 /// plane for the probe scan, `u64` bitsets for valid/dirty, and separate
 /// core/signature planes that are only touched on hits, victims and
 /// fills. The global line index is `slice * lines_per_slice + set *
-/// ways + way`. Policies, observers and checkpoints still see
-/// [`LlcLineState`]: the container materialises per-set views (and, for
-/// `Persist`, the historical `Vec<Vec<LlcLineState>>` byte stream) at the
-/// boundary.
+/// ways + way`. Policies and observers see one [`LlcLineState`] at a time
+/// (the hit line or the evicted victim); checkpoints save the planes
+/// themselves.
 pub struct SlicedLlc {
     geom: LlcGeometry,
     /// Cached `geom.lines_per_slice()`.
@@ -227,8 +226,6 @@ pub struct SlicedLlc {
     cores: Vec<CoreId>,
     /// Installing PC signature per line (read on hit/victim/fill only).
     sigs: Vec<u64>,
-    /// Reusable per-set [`LlcLineState`] view handed to the policy.
-    view: Vec<LlcLineState>,
     set_counters: Vec<Vec<SetCounters>>,
     slice_counters: Vec<SliceCounters>,
     stats: LlcStats,
@@ -284,7 +281,6 @@ impl SlicedLlc {
             dirty: vec![0; words],
             cores: vec![0; total],
             sigs: vec![0; total],
-            view: Vec::with_capacity(geom.ways),
             set_counters: vec![vec![SetCounters::default(); geom.sets_per_slice]; geom.slices],
             slice_counters: vec![SliceCounters::default(); geom.slices],
             geom,
@@ -302,40 +298,14 @@ impl SlicedLlc {
         slice * self.lps + set * self.geom.ways
     }
 
-    /// The [`LlcLineState`] view of the line at global index `g`.
+    /// The [`LlcLineState`] of the resident line at global index `g`.
     #[inline]
     fn line_state_at(&self, g: usize) -> LlcLineState {
         LlcLineState {
             line: self.tags[g],
-            valid: bit_get(&self.valid, g),
             dirty: bit_get(&self.dirty, g),
             core: self.cores[g],
             signature: self.sigs[g],
-        }
-    }
-
-    /// Rebuild the reusable per-set view for the set at `base`. The valid
-    /// and dirty masks are extracted once per set, not once per way.
-    fn refresh_view(&mut self, base: usize) {
-        let ways = self.geom.ways;
-        self.view.clear();
-        if ways <= 64 {
-            let vm = range_mask(&self.valid, base, ways);
-            let dm = range_mask(&self.dirty, base, ways);
-            for w in 0..ways {
-                self.view.push(LlcLineState {
-                    line: self.tags[base + w],
-                    valid: vm >> w & 1 != 0,
-                    dirty: dm >> w & 1 != 0,
-                    core: self.cores[base + w],
-                    signature: self.sigs[base + w],
-                });
-            }
-        } else {
-            for w in 0..ways {
-                let s = self.line_state_at(base + w);
-                self.view.push(s);
-            }
         }
     }
 
@@ -446,8 +416,8 @@ impl SlicedLlc {
             if matches!(acc.kind, AccessKind::Store | AccessKind::Writeback) {
                 bit_set(&mut self.dirty, base + way);
             }
-            self.refresh_view(base);
-            let extra = self.policy.on_hit(loc, way, &self.view, acc, cycle);
+            let line = self.line_state_at(base + way);
+            let extra = self.policy.on_hit(loc, way, &line, acc, cycle);
             if let Some(obs) = &mut self.observer {
                 obs.on_lookup(acc, loc, Some(way), &self.slice_counters[slice]);
             }
@@ -517,44 +487,36 @@ impl SlicedLlc {
             };
         }
 
-        // Prefer an invalid way; otherwise ask the policy. Track whether
-        // the victim scan already materialised the set view, so the
-        // post-install state for `on_fill` is a one-slot patch instead of
-        // a second full refresh.
-        let mut view_fresh = false;
+        // Prefer an invalid way; otherwise ask the policy.
         let (way, evicted) = match self.first_invalid(base) {
             Some(w) => (w, None),
-            None => {
-                view_fresh = true;
-                self.refresh_view(base);
-                match self.policy.choose_victim(loc, &self.view, acc, cycle) {
-                    Decision::Evict(w) => {
-                        assert!(w < self.geom.ways, "policy returned way {w} out of range");
-                        (w, Some(self.line_state_at(base + w)))
-                    }
-                    Decision::Bypass => {
-                        self.stats.bypasses += 1;
-                        self.slice_counters[slice].bypasses += 1;
-                        let probe = self.probe_for_observer(loc);
-                        if let Some(obs) = &mut self.observer {
-                            obs.on_fill(
-                                acc,
-                                loc,
-                                FillOutcome::Bypassed,
-                                &self.slice_counters[slice],
-                                probe.as_ref(),
-                            );
-                        }
-                        // The policy still sees the fill event as a bypass so
-                        // it can train; we model that as no state change.
-                        return FillResult {
-                            writeback: None,
-                            extra_latency: 0,
-                            bypassed: true,
-                        };
-                    }
+            None => match self.policy.choose_victim(loc, acc, cycle) {
+                Decision::Evict(w) => {
+                    assert!(w < self.geom.ways, "policy returned way {w} out of range");
+                    (w, Some(self.line_state_at(base + w)))
                 }
-            }
+                Decision::Bypass => {
+                    self.stats.bypasses += 1;
+                    self.slice_counters[slice].bypasses += 1;
+                    let probe = self.probe_for_observer(loc);
+                    if let Some(obs) = &mut self.observer {
+                        obs.on_fill(
+                            acc,
+                            loc,
+                            FillOutcome::Bypassed,
+                            &self.slice_counters[slice],
+                            probe.as_ref(),
+                        );
+                    }
+                    // The policy still sees the fill event as a bypass so
+                    // it can train; we model that as no state change.
+                    return FillResult {
+                        writeback: None,
+                        extra_latency: 0,
+                        bypassed: true,
+                    };
+                }
+            },
         };
 
         let writeback = evicted.and_then(|v| if v.dirty { Some(v.line) } else { None });
@@ -586,14 +548,7 @@ impl SlicedLlc {
             self.slice_counters[slice].fills += 1;
         }
 
-        if view_fresh {
-            self.view[way] = self.line_state_at(g);
-        } else {
-            self.refresh_view(base);
-        }
-        let extra = self
-            .policy
-            .on_fill(loc, way, &self.view, acc, evicted.as_ref(), cycle);
+        let extra = self.policy.on_fill(loc, way, acc, evicted.as_ref(), cycle);
         let probe = self.probe_for_observer(loc);
         if let Some(obs) = &mut self.observer {
             obs.on_fill(
@@ -636,26 +591,18 @@ impl SlicedLlc {
         &self.slice_counters
     }
 
-    /// Serialize the LLC's mutable state: line arrays, per-set and per-slice
-    /// counters, aggregate stats, and the policy's predictor state. The
-    /// geometry, slice hasher, observer, and injected-corruption knobs are
-    /// configuration — the loader reconstructs those before restoring.
-    ///
-    /// The SoA planes are materialised back into the historical
-    /// `Vec<Vec<LlcLineState>>` encoding, so `drishti-ckpt/v1` snapshots
-    /// are byte-identical to the per-line layout's (the §15 `Persist`
-    /// compatibility rule; pinned by `tests/checkpoint.rs`).
+    /// Serialize the LLC's mutable state: the line planes, per-set and
+    /// per-slice counters, aggregate stats, and the policy's predictor
+    /// state. The geometry, slice hasher, observer, and injected-corruption
+    /// knobs are configuration — the loader reconstructs those before
+    /// restoring.
     pub fn save_state(&self, w: &mut drishti_noc::snap::StateWriter) {
         use drishti_noc::snap::Persist;
-        let lines: Vec<Vec<LlcLineState>> = (0..self.geom.slices)
-            .map(|s| {
-                let start = s * self.lps;
-                (start..start + self.lps)
-                    .map(|g| self.line_state_at(g))
-                    .collect()
-            })
-            .collect();
-        lines.save(w);
+        self.tags.save(w);
+        self.valid.save(w);
+        self.dirty.save(w);
+        self.cores.save(w);
+        self.sigs.save(w);
         self.set_counters.save(w);
         self.slice_counters.save(w);
         self.stats.save(w);
@@ -668,34 +615,14 @@ impl SlicedLlc {
         &mut self,
         r: &mut drishti_noc::snap::StateReader<'_>,
     ) -> Result<(), drishti_noc::snap::SnapError> {
+        use crate::bits::{load_bit_plane, load_plane};
         use drishti_noc::snap::{Persist, SnapError};
-        let mut lines: Vec<Vec<LlcLineState>> = Vec::new();
-        lines.load(r)?;
-        if lines.len() != self.geom.slices
-            || lines
-                .iter()
-                .any(|s| s.len() != self.geom.sets_per_slice * self.geom.ways)
-        {
-            return Err(SnapError::Invalid {
-                what: "llc lines",
-                detail: format!(
-                    "snapshot line array does not match geometry \
-                     ({} slices x {} lines expected)",
-                    self.geom.slices,
-                    self.geom.sets_per_slice * self.geom.ways
-                ),
-            });
-        }
-        for (s, slice_lines) in lines.iter().enumerate() {
-            for (i, l) in slice_lines.iter().enumerate() {
-                let g = s * self.lps + i;
-                self.tags[g] = l.line;
-                bit_assign(&mut self.valid, g, l.valid);
-                bit_assign(&mut self.dirty, g, l.dirty);
-                self.cores[g] = l.core;
-                self.sigs[g] = l.signature;
-            }
-        }
+        let lines = self.tags.len();
+        load_plane(&mut self.tags, r, "llc tags")?;
+        load_bit_plane(&mut self.valid, lines, r, "llc valid bits")?;
+        load_bit_plane(&mut self.dirty, lines, r, "llc dirty bits")?;
+        load_plane(&mut self.cores, r, "llc cores")?;
+        load_plane(&mut self.sigs, r, "llc signatures")?;
         self.set_counters.load(r)?;
         if self.set_counters.len() != self.geom.slices
             || self
@@ -765,21 +692,20 @@ mod tests {
         fn name(&self) -> String {
             "evict-zero".into()
         }
-        fn on_hit(&mut self, _: LlcLoc, _: usize, _: &[LlcLineState], _: &Access, _: u64) -> u64 {
+        fn on_hit(&mut self, _: LlcLoc, _: usize, _: &LlcLineState, _: &Access, _: u64) -> u64 {
             self.hits += 1;
             0
         }
         fn on_miss(&mut self, _: LlcLoc, _: &Access, _: u64) {
             self.misses += 1;
         }
-        fn choose_victim(&mut self, _: LlcLoc, _: &[LlcLineState], _: &Access, _: u64) -> Decision {
+        fn choose_victim(&mut self, _: LlcLoc, _: &Access, _: u64) -> Decision {
             Decision::Evict(0)
         }
         fn on_fill(
             &mut self,
             _: LlcLoc,
             _: usize,
-            _: &[LlcLineState],
             _: &Access,
             _: Option<&LlcLineState>,
             _: u64,

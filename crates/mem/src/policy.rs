@@ -26,13 +26,11 @@ pub struct LlcLoc {
 }
 
 /// Replacement-relevant state of one resident LLC line, as exposed to
-/// policies.
+/// policies: the line that was hit, or the victim a fill displaced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct LlcLineState {
-    /// The resident line address (0 if invalid).
+    /// The resident line address.
     pub line: LineAddr,
-    /// Whether this way holds a valid line.
-    pub valid: bool,
     /// Whether the line is dirty (must be written back on eviction).
     pub dirty: bool,
     /// The core whose request installed the line.
@@ -40,14 +38,6 @@ pub struct LlcLineState {
     /// The PC signature ([`Access::signature`]) that installed the line.
     pub signature: u64,
 }
-
-drishti_noc::impl_persist_fields!(LlcLineState {
-    line,
-    valid,
-    dirty,
-    core,
-    signature
-});
 
 /// A victim decision for a fill into a full set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -135,13 +125,14 @@ pub trait LlcPolicy: std::fmt::Debug {
     /// Human-readable policy name, e.g. `"mockingjay"` or `"d-hawkeye"`.
     fn name(&self) -> String;
 
-    /// A resident line was hit. `way` indexes into `lines`. Returns extra
-    /// critical-path cycles (almost always 0 on hits).
+    /// The resident `line` in `way` of the set at `loc` was hit (its dirty
+    /// bit already reflects this access). Returns extra critical-path
+    /// cycles (almost always 0 on hits).
     fn on_hit(
         &mut self,
         loc: LlcLoc,
         way: usize,
-        lines: &[LlcLineState],
+        line: &LlcLineState,
         acc: &Access,
         cycle: u64,
     ) -> u64;
@@ -150,14 +141,9 @@ pub trait LlcPolicy: std::fmt::Debug {
     /// miss even if the fill later bypasses).
     fn on_miss(&mut self, loc: LlcLoc, acc: &Access, cycle: u64);
 
-    /// Choose a victim for a fill into a *full* set.
-    fn choose_victim(
-        &mut self,
-        loc: LlcLoc,
-        lines: &[LlcLineState],
-        acc: &Access,
-        cycle: u64,
-    ) -> Decision;
+    /// Choose a victim for a fill into a *full* set. The container reports
+    /// the chosen line to [`LlcPolicy::on_fill`] as `evicted`.
+    fn choose_victim(&mut self, loc: LlcLoc, acc: &Access, cycle: u64) -> Decision;
 
     /// A line was installed in `way` (after any eviction). `evicted` is the
     /// line that was displaced, if the set was full. Returns extra
@@ -167,7 +153,6 @@ pub trait LlcPolicy: std::fmt::Debug {
         &mut self,
         loc: LlcLoc,
         way: usize,
-        lines: &[LlcLineState],
         acc: &Access,
         evicted: Option<&LlcLineState>,
         cycle: u64,
@@ -221,18 +206,17 @@ mod tests {
         fn name(&self) -> String {
             "evict-zero".into()
         }
-        fn on_hit(&mut self, _: LlcLoc, _: usize, _: &[LlcLineState], _: &Access, _: u64) -> u64 {
+        fn on_hit(&mut self, _: LlcLoc, _: usize, _: &LlcLineState, _: &Access, _: u64) -> u64 {
             0
         }
         fn on_miss(&mut self, _: LlcLoc, _: &Access, _: u64) {}
-        fn choose_victim(&mut self, _: LlcLoc, _: &[LlcLineState], _: &Access, _: u64) -> Decision {
+        fn choose_victim(&mut self, _: LlcLoc, _: &Access, _: u64) -> Decision {
             Decision::Evict(0)
         }
         fn on_fill(
             &mut self,
             _: LlcLoc,
             _: usize,
-            _: &[LlcLineState],
             _: &Access,
             _: Option<&LlcLineState>,
             _: u64,
@@ -247,13 +231,6 @@ mod tests {
         assert_eq!(p.name(), "evict-zero");
         assert_eq!(p.fabric_stats(), NocStats::default());
         assert!(p.diagnostics().is_empty());
-    }
-
-    #[test]
-    fn default_line_state_is_invalid() {
-        let l = LlcLineState::default();
-        assert!(!l.valid);
-        assert!(!l.dirty);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! into an *already-shaped* value. Shapes (vector lengths, table sizes)
 //! come from configuration, not from the snapshot: restore first rebuilds
 //! the component from its config, then loads the bytes into it. The
-//! container layer (`drishti-ckpt/v1` in `crates/sim`) guards every
+//! container layer (`drishti-ckpt/v2` in `crates/sim`) guards every
 //! section with an fnv1a64 checksum and a config hash, so `load` mostly
 //! defends against truncation — a checksummed-but-short section, the one
 //! corruption the container cannot rule out — via typed [`SnapError`]s,

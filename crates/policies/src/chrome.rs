@@ -252,7 +252,7 @@ impl LlcPolicy for Chrome {
         &mut self,
         loc: LlcLoc,
         way: usize,
-        _lines: &[LlcLineState],
+        _line: &LlcLineState,
         _acc: &Access,
         cycle: u64,
     ) -> u64 {
@@ -279,13 +279,7 @@ impl LlcPolicy for Chrome {
         }
     }
 
-    fn choose_victim(
-        &mut self,
-        loc: LlcLoc,
-        lines: &[LlcLineState],
-        acc: &Access,
-        cycle: u64,
-    ) -> Decision {
+    fn choose_victim(&mut self, loc: LlcLoc, acc: &Access, cycle: u64) -> Decision {
         // Decide the action for the incoming line; bypass is an action.
         if acc.kind != AccessKind::Writeback {
             self.decisions += 1;
@@ -312,7 +306,7 @@ impl LlcPolicy for Chrome {
         // Victim: RRIP with aging.
         loop {
             let set = self.rrpv.set_mut(loc.slice, loc.set);
-            if let Some(w) = set.iter().take(lines.len()).position(|&r| r >= MAX_RRPV) {
+            if let Some(w) = set.iter().position(|&r| r >= MAX_RRPV) {
                 return Decision::Evict(w);
             }
             for r in set.iter_mut() {
@@ -325,7 +319,6 @@ impl LlcPolicy for Chrome {
         &mut self,
         loc: LlcLoc,
         way: usize,
-        _lines: &[LlcLineState],
         acc: &Access,
         evicted: Option<&LlcLineState>,
         cycle: u64,

@@ -138,7 +138,7 @@ impl LlcPolicy for Dip {
         &mut self,
         loc: LlcLoc,
         way: usize,
-        _lines: &[LlcLineState],
+        _line: &LlcLineState,
         _acc: &Access,
         _cycle: u64,
     ) -> u64 {
@@ -163,15 +163,10 @@ impl LlcPolicy for Dip {
         self.selectors[loc.slice].observe(loc.set, false);
     }
 
-    fn choose_victim(
-        &mut self,
-        loc: LlcLoc,
-        lines: &[LlcLineState],
-        _acc: &Access,
-        _cycle: u64,
-    ) -> Decision {
-        let victim = (0..lines.len())
-            .min_by_key(|&w| *self.stamp.get(loc.slice, loc.set, w))
+    fn choose_victim(&mut self, loc: LlcLoc, _acc: &Access, _cycle: u64) -> Decision {
+        let stamps = self.stamp.set(loc.slice, loc.set);
+        let victim = (0..stamps.len())
+            .min_by_key(|&w| stamps[w])
             .expect("nonzero ways");
         Decision::Evict(victim)
     }
@@ -180,7 +175,6 @@ impl LlcPolicy for Dip {
         &mut self,
         loc: LlcLoc,
         way: usize,
-        _lines: &[LlcLineState],
         acc: &Access,
         _evicted: Option<&LlcLineState>,
         _cycle: u64,

@@ -317,7 +317,7 @@ impl LlcPolicy for Glider {
         &mut self,
         loc: LlcLoc,
         way: usize,
-        _lines: &[LlcLineState],
+        _line: &LlcLineState,
         acc: &Access,
         cycle: u64,
     ) -> u64 {
@@ -336,18 +336,12 @@ impl LlcPolicy for Glider {
         }
     }
 
-    fn choose_victim(
-        &mut self,
-        loc: LlcLoc,
-        lines: &[LlcLineState],
-        _acc: &Access,
-        _cycle: u64,
-    ) -> Decision {
+    fn choose_victim(&mut self, loc: LlcLoc, _acc: &Access, _cycle: u64) -> Decision {
         let rrpvs = self.rrpv.set(loc.slice, loc.set);
-        if let Some(w) = rrpvs.iter().take(lines.len()).position(|&r| r == MAX_RRPV) {
+        if let Some(w) = rrpvs.iter().position(|&r| r == MAX_RRPV) {
             return Decision::Evict(w);
         }
-        let w = (0..lines.len())
+        let w = (0..rrpvs.len())
             .max_by_key(|&w| rrpvs[w])
             .expect("nonzero ways");
         Decision::Evict(w)
@@ -357,7 +351,6 @@ impl LlcPolicy for Glider {
         &mut self,
         loc: LlcLoc,
         way: usize,
-        _lines: &[LlcLineState],
         acc: &Access,
         _evicted: Option<&LlcLineState>,
         cycle: u64,

@@ -329,7 +329,7 @@ impl LlcPolicy for Hawkeye {
         &mut self,
         loc: LlcLoc,
         way: usize,
-        _lines: &[LlcLineState],
+        _line: &LlcLineState,
         acc: &Access,
         cycle: u64,
     ) -> u64 {
@@ -342,27 +342,17 @@ impl LlcPolicy for Hawkeye {
         self.sample_access(loc, acc, false, cycle);
     }
 
-    fn choose_victim(
-        &mut self,
-        loc: LlcLoc,
-        lines: &[LlcLineState],
-        _acc: &Access,
-        cycle: u64,
-    ) -> Decision {
+    fn choose_victim(&mut self, loc: LlcLoc, _acc: &Access, _cycle: u64) -> Decision {
         let rrpvs = self.rrpv.set(loc.slice, loc.set);
         // Prefer a cache-averse line.
-        if let Some(w) = rrpvs.iter().take(lines.len()).position(|&r| r == MAX_RRPV) {
+        if let Some(w) = rrpvs.iter().position(|&r| r == MAX_RRPV) {
             return Decision::Evict(w);
         }
-        // No averse line: evict the oldest friendly line and detrain its PC.
-        let w = (0..lines.len())
+        // No averse line: evict the oldest friendly line (`on_fill`
+        // detrains its PC).
+        let w = (0..rrpvs.len())
             .max_by_key(|&w| rrpvs[w])
             .expect("nonzero ways");
-        let victim = lines[w];
-        if victim.valid && victim.signature != 0 {
-            self.diag.detrains += 1;
-            self.train(loc.slice, victim.signature, victim.core, false, cycle);
-        }
         Decision::Evict(w)
     }
 
@@ -370,11 +360,19 @@ impl LlcPolicy for Hawkeye {
         &mut self,
         loc: LlcLoc,
         way: usize,
-        _lines: &[LlcLineState],
         acc: &Access,
-        _evicted: Option<&LlcLineState>,
+        evicted: Option<&LlcLineState>,
         cycle: u64,
     ) -> u64 {
+        // `rrpv[way]` still holds the victim's value: below MAX_RRPV exactly
+        // when `choose_victim` found no averse line and evicted a friendly
+        // one, whose PC is detrained.
+        if let Some(v) = evicted {
+            if *self.rrpv.get(loc.slice, loc.set, way) != MAX_RRPV && v.signature != 0 {
+                self.diag.detrains += 1;
+                self.train(loc.slice, v.signature, v.core, false, cycle);
+            }
+        }
         if acc.kind == AccessKind::Writeback {
             // Dirty lines get the lowest priority (paper §5.2, Table 5).
             *self.rrpv.get_mut(loc.slice, loc.set, way) = MAX_RRPV;
@@ -570,6 +568,45 @@ mod tests {
         llc.lookup(&ld2, 2);
         let fr = llc.fill(&ld2, 2);
         assert_eq!(fr.writeback, Some(500));
+    }
+
+    #[test]
+    fn evicting_a_friendly_victim_detrains_its_pc() {
+        // One sampled 2-way set; fewer distinct lines than the sampler's
+        // history holds, so every detrain counted here is an LLC eviction.
+        let geom = LlcGeometry {
+            slices: 1,
+            sets_per_slice: 1,
+            ways: 2,
+            latency: 20,
+        };
+        let mut c = DrishtiConfig::baseline(1);
+        c.sampled_sets_override = Some(1);
+        let mut llc = llc_with(geom, &c);
+        let detrains = |llc: &SlicedLlc| {
+            let diags = llc.policy().diagnostics();
+            diags.iter().find(|(n, _)| n == "detrains").unwrap().1
+        };
+        let step = |llc: &mut SlicedLlc, a: Access, cycle: u64| {
+            assert!(!llc.lookup(&a, cycle).hit);
+            llc.fill(&a, cycle);
+            detrains(llc)
+        };
+
+        // Fresh PCs start friendly: A and B insert at RRPV 0, A ages to 1.
+        assert_eq!(step(&mut llc, Access::load(0, 0x1, 10), 0), 0);
+        assert_eq!(step(&mut llc, Access::load(0, 0x2, 20), 1), 0);
+        // Full set, no averse line: the oldest friendly line (A) goes and
+        // PC 0x1 is detrained below the friendly threshold.
+        assert_eq!(step(&mut llc, Access::load(0, 0x3, 30), 2), 1);
+        // PC 0x1 is now averse: its fill evicts friendly B (detrain) and
+        // inserts at MAX_RRPV.
+        assert_eq!(step(&mut llc, Access::load(0, 0x1, 40), 3), 2);
+        // The averse line is the victim: evicting it detrains nothing.
+        assert_eq!(step(&mut llc, Access::load(0, 0x3, 50), 4), 2);
+        // A write-back fill into the full set still detrains the friendly
+        // victim it displaces.
+        assert_eq!(step(&mut llc, Access::writeback(0, 60), 5), 3);
     }
 
     #[test]

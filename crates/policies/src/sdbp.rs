@@ -280,7 +280,7 @@ impl LlcPolicy for Sdbp {
         &mut self,
         loc: LlcLoc,
         way: usize,
-        _lines: &[LlcLineState],
+        _line: &LlcLineState,
         acc: &Access,
         cycle: u64,
     ) -> u64 {
@@ -296,19 +296,14 @@ impl LlcPolicy for Sdbp {
         self.sample_access(loc, acc, false, cycle);
     }
 
-    fn choose_victim(
-        &mut self,
-        loc: LlcLoc,
-        lines: &[LlcLineState],
-        _acc: &Access,
-        _cycle: u64,
-    ) -> Decision {
+    fn choose_victim(&mut self, loc: LlcLoc, _acc: &Access, _cycle: u64) -> Decision {
         // Prefer a predicted-dead block; fall back to LRU.
-        if let Some(w) = (0..lines.len()).find(|&w| *self.dead.get(loc.slice, loc.set, w)) {
+        if let Some(w) = self.dead.set(loc.slice, loc.set).iter().position(|&d| d) {
             return Decision::Evict(w);
         }
-        let victim = (0..lines.len())
-            .min_by_key(|&w| *self.stamp.get(loc.slice, loc.set, w))
+        let stamps = self.stamp.set(loc.slice, loc.set);
+        let victim = (0..stamps.len())
+            .min_by_key(|&w| stamps[w])
             .expect("nonzero ways");
         Decision::Evict(victim)
     }
@@ -317,7 +312,6 @@ impl LlcPolicy for Sdbp {
         &mut self,
         loc: LlcLoc,
         way: usize,
-        _lines: &[LlcLineState],
         acc: &Access,
         _evicted: Option<&LlcLineState>,
         cycle: u64,

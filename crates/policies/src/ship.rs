@@ -151,7 +151,7 @@ impl LlcPolicy for ShipPp {
         &mut self,
         loc: LlcLoc,
         way: usize,
-        lines: &[LlcLineState],
+        line: &LlcLineState,
         acc: &Access,
         cycle: u64,
     ) -> u64 {
@@ -162,7 +162,6 @@ impl LlcPolicy for ShipPp {
             && !*self.outcome.get(loc.slice, loc.set, way)
         {
             *self.outcome.get_mut(loc.slice, loc.set, way) = true;
-            let line = lines[way];
             if acc.kind.has_pc() {
                 self.train(loc.slice, line.signature, line.core, true, cycle);
             }
@@ -174,16 +173,10 @@ impl LlcPolicy for ShipPp {
         self.selectors[loc.slice].observe(loc.set, false);
     }
 
-    fn choose_victim(
-        &mut self,
-        loc: LlcLoc,
-        lines: &[LlcLineState],
-        _acc: &Access,
-        _cycle: u64,
-    ) -> Decision {
+    fn choose_victim(&mut self, loc: LlcLoc, _acc: &Access, _cycle: u64) -> Decision {
         loop {
             let set = self.rrpv.set_mut(loc.slice, loc.set);
-            if let Some(w) = set.iter().take(lines.len()).position(|&r| r >= MAX_RRPV) {
+            if let Some(w) = set.iter().position(|&r| r >= MAX_RRPV) {
                 return Decision::Evict(w);
             }
             for r in set.iter_mut() {
@@ -196,7 +189,6 @@ impl LlcPolicy for ShipPp {
         &mut self,
         loc: LlcLoc,
         way: usize,
-        _lines: &[LlcLineState],
         acc: &Access,
         evicted: Option<&LlcLineState>,
         cycle: u64,
@@ -204,7 +196,6 @@ impl LlcPolicy for ShipPp {
         // Detrain the dead victim if this is a sampled set.
         if let Some(v) = evicted {
             if self.selectors[loc.slice].slot_of(loc.set).is_some()
-                && v.valid
                 && v.signature != 0
                 && !*self.outcome.get(loc.slice, loc.set, way)
             {

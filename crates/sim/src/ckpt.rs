@@ -1,4 +1,4 @@
-//! The `drishti-ckpt/v1` on-disk checkpoint container.
+//! The `drishti-ckpt/v2` on-disk checkpoint container.
 //!
 //! A checkpoint is the engine's *complete* simulation state — core clocks
 //! and private caches, prefetcher tables, LLC tags and policy predictor
@@ -26,6 +26,12 @@
 //! re-positions each by skipping the core's recorded access count (frame
 //! seek for on-disk traces, replay for synthetic generators).
 //!
+//! Cache line state is saved as the containers' own planes (tags,
+//! valid/dirty bitsets, core/signature or replacement metadata), and each
+//! plane's length is checked against the restoring geometry. Version 2
+//! introduced that encoding; checkpoints never cross format versions, so a
+//! version-1 file is refused with [`CkptError::UnsupportedVersion`].
+//!
 //! Every malformed input surfaces as a typed [`CkptError`] naming the
 //! offending section — corruption never panics. See DESIGN.md §14 for the
 //! state inventory and the resume protocol.
@@ -37,13 +43,13 @@ use std::io::Write;
 use std::path::Path;
 
 /// Schema identifier of the container format.
-pub const SCHEMA: &str = "drishti-ckpt/v1";
+pub const SCHEMA: &str = "drishti-ckpt/v2";
 
 /// File magic (first 8 bytes of every checkpoint file).
 pub const MAGIC: [u8; 8] = *b"drckpt01";
 
 /// Container version written by this code.
-pub const VERSION: u32 = 1;
+pub const VERSION: u32 = 2;
 
 /// File extension used by convention (`<run>.drck`).
 pub const EXTENSION: &str = "drck";
@@ -118,9 +124,12 @@ impl fmt::Display for CkptError {
                 f,
                 "not a {SCHEMA} file (magic {found:02x?}, expected {MAGIC:02x?})"
             ),
-            CkptError::UnsupportedVersion(v) => {
-                write!(f, "unsupported {SCHEMA} version {v} (this build reads {VERSION})")
-            }
+            CkptError::UnsupportedVersion(v) => write!(
+                f,
+                "unsupported checkpoint version {v} (this build reads {SCHEMA}, version \
+                 {VERSION}); checkpoints do not cross format versions: rerun without \
+                 --restore, or re-create the checkpoint with --save"
+            ),
             CkptError::BadHeader(detail) => write!(f, "malformed checkpoint header: {detail}"),
             CkptError::ConfigMismatch { stored, expected } => write!(
                 f,
@@ -169,7 +178,7 @@ pub fn config_hash(engine: &Engine) -> u64 {
     fnv1a64(engine.config_descriptor().as_bytes())
 }
 
-/// Serialize the engine's complete state into `drishti-ckpt/v1` bytes.
+/// Serialize the engine's complete state into `drishti-ckpt/v2` bytes.
 pub fn save_engine_bytes(engine: &Engine) -> Vec<u8> {
     use drishti_noc::snap::StateWriter;
     let mut out = Vec::with_capacity(1 << 16);
@@ -306,7 +315,7 @@ fn parse_sections(bytes: &[u8], expected_hash: u64) -> Result<Vec<(String, &[u8]
     Ok(sections)
 }
 
-/// Restore the engine's complete state from `drishti-ckpt/v1` bytes.
+/// Restore the engine's complete state from `drishti-ckpt/v2` bytes.
 ///
 /// The engine must be freshly built from the *same* configuration the
 /// snapshot was saved under (same mix, policy, geometry, budgets,
@@ -439,12 +448,16 @@ mod tests {
 
     #[test]
     fn unsupported_version_is_refused() {
-        let (mut e, mut bytes) = mid_run_checkpoint(PolicyKind::Lru);
-        bytes[8] = 99;
-        assert!(matches!(
-            restore_engine_bytes(&mut e, &bytes),
-            Err(CkptError::UnsupportedVersion(99))
-        ));
+        let (mut e, bytes) = mid_run_checkpoint(PolicyKind::Lru);
+        // 1 is the pre-plane encoding; 99 is a version from the future.
+        for version in [1u32, 99] {
+            let mut old = bytes.clone();
+            old[8..12].copy_from_slice(&version.to_le_bytes());
+            match restore_engine_bytes(&mut e, &old) {
+                Err(CkptError::UnsupportedVersion(v)) => assert_eq!(v, version),
+                other => panic!("version {version}: expected UnsupportedVersion, got {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -572,9 +585,149 @@ mod tests {
         }
     }
 
+    /// Rewrite the payload of section `name` with `f`, then re-checksum
+    /// it, so the container accepts the file and only the section's own
+    /// decoder can object.
+    fn rewrite_section(bytes: &[u8], name: &str, f: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+        let mut out = bytes[..24].to_vec();
+        let mut pos = 24;
+        let mut f = Some(f);
+        while pos < bytes.len() {
+            let name_len = u16::from_le_bytes(bytes[pos..pos + 2].try_into().unwrap()) as usize;
+            let len_at = pos + 2 + name_len;
+            let payload_len =
+                u64::from_le_bytes(bytes[len_at..len_at + 8].try_into().unwrap()) as usize;
+            let mut payload = bytes[len_at + 16..len_at + 16 + payload_len].to_vec();
+            if &bytes[pos + 2..len_at] == name.as_bytes() {
+                (f.take().expect("one section per name"))(&mut payload);
+            }
+            out.extend_from_slice(&bytes[pos..len_at]);
+            out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+            out.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
+            out.extend_from_slice(&payload);
+            pos = len_at + 16 + payload_len;
+        }
+        assert!(f.is_none(), "no section named {name}");
+        out
+    }
+
+    /// Byte offsets of `n` consecutive `u64` planes (each a `u64` length
+    /// followed by its entries) starting at `pos` in `payload`.
+    fn plane_offsets(payload: &[u8], mut pos: usize, n: usize) -> Vec<usize> {
+        (0..n)
+            .map(|_| {
+                let at = pos;
+                let len = u64::from_le_bytes(payload[at..at + 8].try_into().unwrap()) as usize;
+                pos += 8 + 8 * len;
+                at
+            })
+            .collect()
+    }
+
+    /// Restore `bytes` into a fresh engine from `build` and demand a typed
+    /// decode error naming `section` whose detail contains `needle`.
+    fn assert_refused(build: &dyn Fn() -> Engine, bytes: &[u8], section: &str, needle: &str) {
+        match restore_engine_bytes(&mut build(), bytes) {
+            Err(CkptError::SectionDecode { section: s, detail }) => {
+                assert_eq!(s, section, "{detail}");
+                assert!(detail.contains(needle), "{detail:?} lacks {needle:?}");
+            }
+            other => panic!("expected a '{section}' decode error ({needle}), got {other:?}"),
+        }
+    }
+
+    // The `cores` payload opens with the core count (8 bytes) and core 0's
+    // workload flag (1 byte); core 0's L1 planes follow.
+    const L1_PLANES_AT: usize = 9;
+
+    #[test]
+    fn plane_length_mismatch_names_the_section() {
+        let (_, bytes) = mid_run_checkpoint(PolicyKind::Lru);
+        let build = || engine_for(PolicyKind::Lru, 7);
+        let planes = [
+            (
+                "llc",
+                0,
+                [
+                    "llc tags",
+                    "llc valid",
+                    "llc dirty",
+                    "llc cores",
+                    "llc signatures",
+                ]
+                .as_slice(),
+            ),
+            (
+                "cores",
+                L1_PLANES_AT,
+                ["tags", "valid", "dirty", "replacement"].as_slice(),
+            ),
+        ];
+        for (section, start, names) in planes {
+            for (i, plane) in names.iter().enumerate() {
+                let short = rewrite_section(&bytes, section, |p| {
+                    let at = plane_offsets(p, start, names.len())[i];
+                    let len = u64::from_le_bytes(p[at..at + 8].try_into().unwrap());
+                    p[at..at + 8].copy_from_slice(&(len - 1).to_le_bytes());
+                });
+                assert_refused(&build, &short, section, plane);
+            }
+        }
+    }
+
+    #[test]
+    fn bits_past_the_last_line_are_refused() {
+        // 4 sets x 12 ways = 48 L1 lines and 4 slices x 2 sets x 12 ways
+        // = 96 LLC lines: neither fills its last bitset word.
+        let build = || {
+            let mut cfg = SystemConfig::paper_baseline(4);
+            cfg.l1d.sets = 4;
+            cfg.l1d.ways = 12;
+            cfg.llc.sets_per_slice = 2;
+            cfg.llc.ways = 12;
+            let mix = Mix::heterogeneous(&Benchmark::spec_and_gap(), 4, 7);
+            let workloads = mix
+                .build()
+                .into_iter()
+                .map(|w| Some(Box::new(w) as Box<dyn WorkloadGen>))
+                .collect();
+            let pol = PolicyKind::Lru.build(&cfg.llc, DrishtiConfig::baseline(4));
+            Engine::new(cfg, workloads, pol, 2_000, 200, false)
+        };
+        let mut e = build();
+        e.run_steps(3_000);
+        let bytes = save_engine_bytes(&e);
+        let expect = e.run();
+        let mut resumed = build();
+        restore_engine_bytes(&mut resumed, &bytes).unwrap();
+        assert_eq!(resumed.run(), expect, "the odd geometry must round-trip");
+
+        // Plane 1 is the valid bitset, plane 2 the dirty one; set the top
+        // bit of the last word, which names no line.
+        for (section, start, planes, name) in [
+            ("llc", 0, 5, "llc valid bits"),
+            ("llc", 0, 5, "llc dirty bits"),
+            ("cores", L1_PLANES_AT, 4, "private cache valid bits"),
+            ("cores", L1_PLANES_AT, 4, "private cache dirty bits"),
+        ] {
+            let plane = if name.contains("valid") { 1 } else { 2 };
+            let bad = rewrite_section(&bytes, section, |p| {
+                let at = plane_offsets(p, start, planes)[plane];
+                let words = u64::from_le_bytes(p[at..at + 8].try_into().unwrap()) as usize;
+                p[at + 8 * words + 7] |= 0x80;
+            });
+            assert_refused(&build, &bad, section, name);
+            assert_refused(&build, &bad, section, "bits set past line");
+        }
+    }
+
     #[test]
     fn error_messages_are_actionable() {
         assert!(CkptError::MissingSection("llc").to_string().contains("llc"));
+        let v1 = CkptError::UnsupportedVersion(1).to_string();
+        for hint in ["version 1", "without --restore", "--save"] {
+            assert!(v1.contains(hint), "{v1:?} lacks {hint:?}");
+        }
         let e = CkptError::ChecksumMismatch {
             section: "cores".into(),
             expected: 1,

@@ -199,7 +199,7 @@ impl RunResult {
 /// predictor tables, the key deliberately includes the *policy and
 /// organisation* on top of the issue-level `(mix, org, geometry)` triple —
 /// sharing across policies would smuggle one policy's training into
-/// another's run. The warm bytes are full `drishti-ckpt/v1` checkpoints,
+/// another's run. The warm bytes are full `drishti-ckpt/v2` checkpoints,
 /// so restore is the same bit-identical path a crash resume uses.
 #[derive(Debug, Default)]
 pub struct WarmCache {
@@ -322,7 +322,7 @@ fn harvest(engine: &mut Engine, rc: &RunConfig, per_core: Vec<CoreResult>) -> Ru
 /// Checkpoint behaviour of one [`run_with_workloads_checkpointed`] run.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RunCkpt<'a> {
-    /// Restore the engine from this `drishti-ckpt/v1` file before running
+    /// Restore the engine from this `drishti-ckpt/v2` file before running
     /// (the run then covers only the remaining accesses).
     pub restore: Option<&'a std::path::Path>,
     /// Write checkpoints to this path (atomically, via a `.tmp` sibling).
@@ -333,7 +333,7 @@ pub struct RunCkpt<'a> {
 }
 
 /// Like [`run_with_workloads`], with crash-recovery checkpointing: the
-/// engine can start from a `drishti-ckpt/v1` file and/or write one
+/// engine can start from a `drishti-ckpt/v2` file and/or write one
 /// periodically and at completion. A restored run is bit-identical to an
 /// uninterrupted one (the workloads must be built from the same mix or
 /// trace files — the checkpoint stores the stream *position*, not the

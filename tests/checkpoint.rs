@@ -1,5 +1,5 @@
 //! Integration tests for crash-resumable simulation (see DESIGN.md §14):
-//! the `drishti-ckpt/v1` engine checkpoint restores bit-identically across
+//! the `drishti-ckpt/v2` engine checkpoint restores bit-identically across
 //! every policy × organisation, the RefCache conformance contracts keep
 //! holding through a save/restore seam, telemetry timelines survive the
 //! seam, and an interrupted journaled sweep resumed with `--resume`

@@ -95,8 +95,9 @@ fn record_access(core: usize, r: &TraceRecord) -> Access {
 
 /// The scenario families (DESIGN.md §18) as oracle traces. Phase and
 /// adversarial traces are single-core generator streams; the datacenter
-/// trace interleaves its mix's per-core generators round-robin, the way
-/// the lockstep engine presents a consolidation mix to the shared LLC.
+/// trace interleaves its mix's per-core generators round-robin, an
+/// equal-rate stand-in for how the scheduler presents a consolidation mix
+/// to the shared LLC.
 fn scenario_traces(len: usize) -> Vec<(String, Vec<Access>)> {
     let mut traces = Vec::new();
     for bench in [Benchmark::PhaseMcfLbm, Benchmark::AdvScatter] {

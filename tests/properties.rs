@@ -166,7 +166,7 @@ proptest! {
 // SoA layout equivalence (DESIGN.md §15).
 //
 // `SlicedLlc` stores line metadata struct-of-arrays; before the rework it
-// held `Vec<Vec<LlcLineState>>` per slice. `RefLlc` below reimplements the
+// held one line record per slot. `RefLlc` below reimplements the
 // container's observable protocol over that original per-line layout, and
 // the property drives both through identical fig13-mix access streams for
 // every policy × both predictor organisations, asserting bit-identical
@@ -188,15 +188,15 @@ mod soa_equivalence {
         misses: u64,
     }
 
-    /// The pre-rework per-line container: one `Vec<LlcLineState>` per
-    /// slice, probed way-by-way. Mirrors `SlicedLlc`'s lookup/fill
+    /// The pre-rework per-line container: one `Option<LlcLineState>` per
+    /// slot (`None` while invalid), probed way-by-way. Mirrors `SlicedLlc`'s lookup/fill
     /// protocol exactly (minus observers), so any divergence is a bug in
     /// the SoA layout, not in this model.
     pub struct RefLlc {
         geom: LlcGeometry,
         hasher: XorFoldHash,
         policy: Box<dyn LlcPolicy>,
-        lines: Vec<Vec<LlcLineState>>,
+        lines: Vec<Vec<Option<LlcLineState>>>,
         set_counters: Vec<Vec<RefSetCounters>>,
         pub slice_counters: Vec<SliceCounters>,
         pub stats: LlcStats,
@@ -205,7 +205,7 @@ mod soa_equivalence {
     impl RefLlc {
         pub fn new(geom: LlcGeometry, policy: Box<dyn LlcPolicy>) -> Self {
             RefLlc {
-                lines: vec![vec![LlcLineState::default(); geom.lines_per_slice()]; geom.slices],
+                lines: vec![vec![None; geom.lines_per_slice()]; geom.slices],
                 set_counters: vec![
                     vec![RefSetCounters::default(); geom.sets_per_slice];
                     geom.slices
@@ -238,13 +238,17 @@ mod soa_equivalence {
             let ways = self.geom.ways;
             let start = set * ways;
             let set_lines = &mut self.lines[slice][start..start + ways];
-            if let Some(way) = set_lines.iter().position(|l| l.valid && l.line == acc.line) {
+            if let Some(way) = set_lines
+                .iter()
+                .position(|l| l.is_some_and(|l| l.line == acc.line))
+            {
                 self.slice_counters[slice].hits += 1;
+                let line = set_lines[way].as_mut().expect("hit way is resident");
                 if matches!(acc.kind, AccessKind::Store | AccessKind::Writeback) {
-                    set_lines[way].dirty = true;
+                    line.dirty = true;
                 }
-                let view = set_lines.to_vec();
-                let extra = self.policy.on_hit(loc, way, &view, acc, cycle);
+                let line = *line;
+                let extra = self.policy.on_hit(loc, way, &line, acc, cycle);
                 (true, extra)
             } else {
                 self.set_counters[slice][set].misses += 1;
@@ -267,32 +271,30 @@ mod soa_equivalence {
             let ways = self.geom.ways;
             let start = set * ways;
 
-            if let Some(way) = self.lines[slice][start..start + ways]
-                .iter()
-                .position(|l| l.valid && l.line == acc.line)
+            if let Some(line) = self.lines[slice][start..start + ways]
+                .iter_mut()
+                .flatten()
+                .find(|l| l.line == acc.line)
             {
                 if matches!(acc.kind, AccessKind::Store | AccessKind::Writeback) {
-                    self.lines[slice][start + way].dirty = true;
+                    line.dirty = true;
                 }
                 return (None, 0, false);
             }
 
             let invalid = self.lines[slice][start..start + ways]
                 .iter()
-                .position(|l| !l.valid);
+                .position(|l| l.is_none());
             let (way, evicted) = match invalid {
                 Some(w) => (w, None),
-                None => {
-                    let view = self.lines[slice][start..start + ways].to_vec();
-                    match self.policy.choose_victim(loc, &view, acc, cycle) {
-                        Decision::Evict(w) => (w, Some(view[w])),
-                        Decision::Bypass => {
-                            self.stats.bypasses += 1;
-                            self.slice_counters[slice].bypasses += 1;
-                            return (None, 0, true);
-                        }
+                None => match self.policy.choose_victim(loc, acc, cycle) {
+                    Decision::Evict(w) => (w, self.lines[slice][start + w]),
+                    Decision::Bypass => {
+                        self.stats.bypasses += 1;
+                        self.slice_counters[slice].bypasses += 1;
+                        return (None, 0, true);
                     }
-                }
+                },
             };
 
             let writeback = evicted.and_then(|v: LlcLineState| v.dirty.then_some(v.line));
@@ -307,20 +309,16 @@ mod soa_equivalence {
                 }
             }
 
-            self.lines[slice][start + way] = LlcLineState {
+            self.lines[slice][start + way] = Some(LlcLineState {
                 line: acc.line,
-                valid: true,
                 dirty: matches!(acc.kind, AccessKind::Store | AccessKind::Writeback),
                 core: acc.core,
                 signature: acc.signature(),
-            };
+            });
             self.stats.fills += 1;
             self.slice_counters[slice].fills += 1;
 
-            let view = self.lines[slice][start..start + ways].to_vec();
-            let extra = self
-                .policy
-                .on_fill(loc, way, &view, acc, evicted.as_ref(), cycle);
+            let extra = self.policy.on_fill(loc, way, acc, evicted.as_ref(), cycle);
             (writeback, extra, false)
         }
 
@@ -328,7 +326,7 @@ mod soa_equivalence {
             self.lines
                 .iter()
                 .flat_map(|s| s.iter())
-                .filter(|l| l.valid)
+                .filter(|l| l.is_some())
                 .count()
         }
     }
@@ -388,7 +386,7 @@ mod soa_equivalence {
         for s in 0..geom.slices {
             assert_eq!(
                 soa.slice_occupancy(s),
-                reference.lines[s].iter().filter(|l| l.valid).count(),
+                reference.lines[s].iter().filter(|l| l.is_some()).count(),
                 "slice {s} occupancy diverged"
             );
         }
@@ -431,9 +429,9 @@ proptest! {
     }
 }
 
-/// The `LlcLineState` views the container hands to policies reflect the
-/// installed SoA state exactly: every field of every way, at both the
-/// `on_hit` and `choose_victim` boundaries.
+/// The `LlcLineState`s the container hands to policies reflect the
+/// installed SoA state exactly: the hit line at `on_hit` (with this
+/// access's dirty bit applied) and the displaced victim at `on_fill`.
 #[test]
 fn llc_line_state_view_round_trips_at_policy_boundary() {
     use drishti::mem::policy::{Decision, LlcLineState, LlcLoc, LlcPolicy};
@@ -441,9 +439,10 @@ fn llc_line_state_view_round_trips_at_policy_boundary() {
     use std::cell::RefCell;
     use std::rc::Rc;
 
-    type Seen = Rc<RefCell<Vec<Vec<LlcLineState>>>>;
+    /// `(hook, line)`: the hit line, or the evicted line of a fill.
+    type Seen = Rc<RefCell<Vec<(&'static str, Option<LlcLineState>)>>>;
 
-    /// Records every view it is handed; evicts way 0 when asked.
+    /// Records every line it is handed; evicts way 0 when asked.
     #[derive(Debug)]
     struct SpyPolicy(Seen);
     impl LlcPolicy for SpyPolicy {
@@ -454,34 +453,32 @@ fn llc_line_state_view_round_trips_at_policy_boundary() {
             &mut self,
             _: LlcLoc,
             _: usize,
-            lines: &[LlcLineState],
+            line: &LlcLineState,
             _: &drishti::mem::access::Access,
             _: u64,
         ) -> u64 {
-            self.0.borrow_mut().push(lines.to_vec());
+            self.0.borrow_mut().push(("hit", Some(*line)));
             0
         }
         fn on_miss(&mut self, _: LlcLoc, _: &drishti::mem::access::Access, _: u64) {}
         fn choose_victim(
             &mut self,
             _: LlcLoc,
-            lines: &[LlcLineState],
             _: &drishti::mem::access::Access,
             _: u64,
         ) -> Decision {
-            self.0.borrow_mut().push(lines.to_vec());
+            self.0.borrow_mut().push(("victim", None));
             Decision::Evict(0)
         }
         fn on_fill(
             &mut self,
             _: LlcLoc,
             _: usize,
-            lines: &[LlcLineState],
             _: &drishti::mem::access::Access,
-            _: Option<&LlcLineState>,
+            evicted: Option<&LlcLineState>,
             _: u64,
         ) -> u64 {
-            self.0.borrow_mut().push(lines.to_vec());
+            self.0.borrow_mut().push(("fill", evicted.copied()));
             0
         }
     }
@@ -508,47 +505,67 @@ fn llc_line_state_view_round_trips_at_policy_boundary() {
     llc.fill(&a, 0);
     assert!(!llc.lookup(&b, 1).hit);
     llc.fill(&b, 1);
+    assert_eq!(seen.borrow().as_slice(), &[("fill", None), ("fill", None)]);
 
-    let expect = [
-        LlcLineState {
-            line: 0,
-            valid: true,
-            dirty: true,
-            core: 0,
-            signature: 0x100,
-        },
-        LlcLineState {
-            line: 4,
-            valid: true,
-            dirty: false,
-            core: 1,
-            signature: 0x200,
-        },
-    ];
+    let line_a = LlcLineState {
+        line: 0,
+        dirty: true,
+        core: 0,
+        signature: 0x100,
+    };
+    let line_b = LlcLineState {
+        line: 4,
+        dirty: false,
+        core: 1,
+        signature: 0x200,
+    };
 
-    // on_hit view: a lookup of line 0 must see both ways exactly.
+    // on_hit: each lookup sees exactly its own line, as installed; a store
+    // hit already sees the dirty bit it sets.
     seen.borrow_mut().clear();
     assert!(llc.lookup(&Access::load(0, 0x300, 0), 2).hit);
-    assert_eq!(seen.borrow().as_slice(), &[expect.to_vec()]);
+    assert!(llc.lookup(&Access::load(0, 0x300, 4), 3).hit);
+    assert!(llc.lookup(&Access::store(0, 0x300, 4), 4).hit);
+    let line_b_dirty = LlcLineState {
+        dirty: true,
+        ..line_b
+    };
+    assert_eq!(
+        seen.borrow().as_slice(),
+        &[
+            ("hit", Some(line_a)),
+            ("hit", Some(line_b)),
+            ("hit", Some(line_b_dirty))
+        ]
+    );
 
-    // choose_victim + on_fill views: a conflicting fill sees the full set
-    // pre-eviction, then the post-install state in way 0.
+    // A conflicting fill asks for a victim, then reports the displaced
+    // line's pre-eviction state to on_fill.
     seen.borrow_mut().clear();
     let c = Access::load(0, 0x400, 8); // line 8 -> set 0, set now full
-    assert!(!llc.lookup(&c, 3).hit);
-    llc.fill(&c, 3);
-    let views = seen.borrow();
-    assert_eq!(views.len(), 2, "choose_victim then on_fill");
-    assert_eq!(views[0], expect.to_vec());
-    let mut after = expect.to_vec();
-    after[0] = LlcLineState {
-        line: 8,
-        valid: true,
-        dirty: false,
-        core: 0,
-        signature: 0x400,
-    };
-    assert_eq!(views[1], after);
+    assert!(!llc.lookup(&c, 5).hit);
+    let fr = llc.fill(&c, 5);
+    assert_eq!(fr.writeback, Some(0), "the dirty victim is written back");
+    assert_eq!(
+        seen.borrow().as_slice(),
+        &[("victim", None), ("fill", Some(line_a))]
+    );
+
+    // The installed line is what the next hit on it sees.
+    seen.borrow_mut().clear();
+    assert!(llc.lookup(&Access::load(1, 0x500, 8), 6).hit);
+    assert_eq!(
+        seen.borrow().as_slice(),
+        &[(
+            "hit",
+            Some(LlcLineState {
+                line: 8,
+                dirty: false,
+                core: 0,
+                signature: 0x400,
+            })
+        )]
+    );
 }
 
 /// Historical proptest shrink of `llc_capacity_invariant`, promoted to an
