@@ -5,9 +5,9 @@
 #   ./ci.sh --quick  # skip the release build and rustdoc (debug test run,
 #                    # fmt, clippy and the determinism gate still run)
 #
-# The workspace vendors its only external dev-dependencies (proptest and
-# criterion API shims under shims/), so --offline always works and no
-# network access is ever required.
+# The workspace vendors its only external dev-dependency (a proptest API
+# shim under shims/), so --offline always works and no network access is
+# ever required.
 
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -256,22 +256,15 @@ if [[ $quick -eq 0 ]]; then
     --test scenarios --test ingest
 fi
 
-# Perf snapshot: run the pinned drishti-perf matrix in --quick mode and
-# compare against the newest committed BENCH_*.json. Report-only — a >10%
-# regression prints a warning but never fails CI (shared runners are too
-# noisy for a hard throughput gate; the committed baselines track the
-# trajectory instead). Skipped under ci.sh --quick.
+# Benchmark smoke: one short perfbench run of the stream4-lru workload
+# (the repository benchmark BENCHMARK.json declares). perfbench checks
+# every cell's outputs and exits 1 if any check fails, so this step gates
+# correctness; its throughput numbers are reported, never compared.
+# Skipped under ci.sh --quick.
 if [[ $quick -eq 0 ]]; then
-  step "perf snapshot (drishti-perf --quick, report-only)"
-  cargo build -q --offline --release -p drishti-bench --bin drishti-perf
-  perf_args=(--quick --out "$out/perf_snapshot.json")
-  newest_bench=$(ls -1 BENCH_*.json 2>/dev/null | sort | tail -n 1 || true)
-  if [[ -n "$newest_bench" ]]; then
-    perf_args+=(--compare "$newest_bench")
-  else
-    echo "note: no committed BENCH_*.json baseline; reporting without comparison"
-  fi
-  target/release/drishti-perf "${perf_args[@]}"
+  step "benchmark smoke (perfbench stream4-lru)"
+  cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload stream4-lru --seed 1 --seconds 5 --trace 0
 fi
 
 rm -rf "$out"

@@ -37,6 +37,7 @@ const EXPERIMENTS: &[&str] = &[
     "table7_applicability",
     "scalability",
     "scaling",
+    "scenarios",
     "resilience",
 ];
 
@@ -67,5 +68,28 @@ fn main() {
     } else {
         println!("{} experiments FAILED: {failures:?}", failures.len());
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::EXPERIMENTS;
+
+    #[test]
+    fn every_experiment_binary_is_listed() {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/src/bin");
+        let mut stems: Vec<String> = std::fs::read_dir(dir)
+            .expect("read src/bin")
+            .map(|entry| {
+                let path = entry.expect("dir entry").path();
+                let stem = path.file_stem().expect("file stem");
+                stem.to_string_lossy().into_owned()
+            })
+            .filter(|stem| stem != "all_experiments")
+            .collect();
+        stems.sort();
+        let mut listed: Vec<&str> = EXPERIMENTS.to_vec();
+        listed.sort_unstable();
+        assert_eq!(stems, listed);
     }
 }

@@ -21,9 +21,9 @@
 //! # Parallelism and reports
 //!
 //! The sweep-driven binaries (`fig13_main_performance`, `table6_metrics`,
-//! `fig17_ablation`, `resilience`) execute their cells on the
-//! [`drishti_sim::sweep`] harness: `--jobs N` picks the worker count
-//! (default: all available cores; results are bit-identical at any
+//! `fig17_ablation`, `resilience`, `scaling`, `scenarios`) execute their
+//! cells on the [`drishti_sim::sweep`] harness: `--jobs N` picks the worker
+//! count (default: all available cores; results are bit-identical at any
 //! width), and every run writes a `drishti-sweep/v1` JSON report plus a
 //! timing sidecar to `target/sweep/` (`--report PATH` overrides the
 //! destination). The remaining binaries accept and ignore `--jobs` so
@@ -42,8 +42,6 @@ use drishti_trace::mix::Mix;
 use drishti_trace::replay::TraceCache;
 use std::path::PathBuf;
 use std::sync::Arc;
-
-pub mod perf;
 
 const OPTS_USAGE: &str = "usage: [--full] [--mixes N] [--cores a,b,c] [--accesses N] \
 [--jobs N] [--report PATH] [--resume] [--telemetry] [--epoch N] \

@@ -55,8 +55,8 @@ pub const VERSION: u32 = 2;
 pub const EXTENSION: &str = "drck";
 
 /// Section names in the order they are written and restored. Restore
-/// looks sections up by name and ignores any it does not know, such as
-/// the `events` section older writers appended after these five.
+/// looks sections up by name and skips any section whose name it does
+/// not know.
 pub const SECTIONS: [&str; 5] = ["cores", "llc", "dram", "mesh", "sim"];
 
 /// FNV-1a 64-bit hash — the same flavour that guards trace frames, good
@@ -558,8 +558,9 @@ mod tests {
             .collect::<Vec<_>>();
         assert_eq!(names, SECTIONS);
 
-        // Older writers appended a checksum-valid `events` section. Restore
-        // is by section name, so whatever its payload, it is skipped.
+        // Append a checksum-valid section with a name restore does not
+        // know. Restore is by section name, so whatever its payload, it is
+        // skipped.
         for payload in [
             &b""[..],
             &[1, 1, 0, 0, 0, 0, 0, 0, 0, 0][..],
