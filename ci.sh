@@ -54,7 +54,8 @@ if [[ $quick -eq 0 ]]; then
 else
   build_flags=()
 fi
-cargo build -q --offline "${build_flags[@]}" -p drishti-bench --bin fig13_main_performance
+cargo build -q --offline "${build_flags[@]}" -p drishti-bench --bin drishti-exp
+exp="target/$profile_dir/drishti-exp"
 gate_args=(--mixes 2 --cores 4 --accesses 10000)
 # Gate outputs land in a per-invocation temp dir under target/ so
 # concurrent ci.sh runs cannot clobber each other's reports; it is removed
@@ -62,9 +63,9 @@ gate_args=(--mixes 2 --cores 4 --accesses 10000)
 # target/ci-gate.*).
 mkdir -p target
 out=$(mktemp -d target/ci-gate.XXXXXX)
-"target/$profile_dir/fig13_main_performance" "${gate_args[@]}" \
+"$exp" fig13_main_performance "${gate_args[@]}" \
   --jobs 1 --report "$out/determinism_j1.json" >/dev/null
-"target/$profile_dir/fig13_main_performance" "${gate_args[@]}" \
+"$exp" fig13_main_performance "${gate_args[@]}" \
   --jobs 8 --report "$out/determinism_j8.json" >/dev/null
 if ! diff -u "$out/determinism_j1.json" "$out/determinism_j8.json"; then
   echo "FAIL: sweep report differs between --jobs 1 and --jobs 8" >&2
@@ -77,7 +78,7 @@ echo "reports byte-identical across worker counts"
 # telemetry-off one — timelines land in separate *.timeline.json files.
 step "telemetry gate (--telemetry report must byte-match)"
 rm -f "$out"/telemetry_on.cell*.timeline.json
-"target/$profile_dir/fig13_main_performance" "${gate_args[@]}" \
+"$exp" fig13_main_performance "${gate_args[@]}" \
   --jobs 8 --telemetry --epoch 2000 --report "$out/telemetry_on.json" >/dev/null
 if ! diff -u "$out/determinism_j8.json" "$out/telemetry_on.json"; then
   echo "FAIL: --telemetry changed the sweep report bytes" >&2
@@ -122,11 +123,9 @@ echo "replayed reports byte-identical to the generated run at --jobs 1 and 8"
 # loop. Run one small 2-chip rung of the scaling study under --jobs 1|8
 # and demand the reports are byte-identical. (Runs in --quick too.)
 step "scaling-smoke gate (2-chip sweep, --jobs 1/8 byte-diff)"
-cargo build -q --offline "${build_flags[@]}" -p drishti-bench --bin scaling
-scaling="target/$profile_dir/scaling"
 sc_args=(--mixes 1 --cores 16 --accesses 6000)
 for jobs in 1 8; do
-  "$scaling" "${sc_args[@]}" --jobs "$jobs" --report "$out/scaling_j${jobs}.json" >/dev/null
+  "$exp" scaling "${sc_args[@]}" --jobs "$jobs" --report "$out/scaling_j${jobs}.json" >/dev/null
 done
 if ! diff -u "$out/scaling_j1.json" "$out/scaling_j8.json"; then
   echo "FAIL: scaling report differs between --jobs 1 and --jobs 8" >&2
@@ -141,12 +140,12 @@ echo "2-chip scaling reports byte-identical across worker counts"
 # to a no-op resume, which must still byte-match. (Runs in --quick too —
 # crash-resumability is a core contract of the sweep harness.)
 step "crash-resume gate (SIGKILL mid-sweep, --resume byte-identity)"
-fig13="target/$profile_dir/fig13_main_performance"
+fig13=("$exp" fig13_main_performance)
 resume_report="$out/resume_gate.json"
 resume_journal="$resume_report.journal"
 rm -f "$resume_report" "$resume_journal"
-"$fig13" "${gate_args[@]}" --jobs 8 --report "$out/resume_ref.json" >/dev/null
-"$fig13" "${gate_args[@]}" --jobs 8 --report "$resume_report" >/dev/null 2>&1 &
+"${fig13[@]}" "${gate_args[@]}" --jobs 8 --report "$out/resume_ref.json" >/dev/null
+"${fig13[@]}" "${gate_args[@]}" --jobs 8 --report "$resume_report" >/dev/null 2>&1 &
 victim=$!
 # Kill once at least one cell landed in the journal (28-byte header, then
 # one entry per completed cell); give up waiting after ~10s.
@@ -161,7 +160,7 @@ wait "$victim" 2>/dev/null || true
 if [[ -e "$resume_report" ]]; then
   echo "note: sweep completed before SIGKILL; resuming a finished sweep instead"
 fi
-"$fig13" "${gate_args[@]}" --jobs 8 --report "$resume_report" --resume >/dev/null
+"${fig13[@]}" "${gate_args[@]}" --jobs 8 --report "$resume_report" --resume >/dev/null
 if ! diff -u "$out/resume_ref.json" "$resume_report"; then
   echo "FAIL: resumed sweep report differs from the uninterrupted run" >&2
   exit 1
@@ -218,11 +217,9 @@ echo "injected violation caught, shrunk, persisted and replayed"
 # report must carry the "ingested" coverage family. (Runs in --quick too
 # — the coverage table is new report surface.)
 step "scenario-smoke gate (families x jobs, ingest round-trip)"
-cargo build -q --offline "${build_flags[@]}" -p drishti-bench --bin scenarios
-scenarios="target/$profile_dir/scenarios"
 scn_args=(--mixes 1 --cores 4 --accesses 6000)
 for jobs in 1 8; do
-  "$scenarios" "${scn_args[@]}" --jobs "$jobs" --report "$out/scenarios_j${jobs}.json" >/dev/null
+  "$exp" scenarios "${scn_args[@]}" --jobs "$jobs" --report "$out/scenarios_j${jobs}.json" >/dev/null
 done
 if ! diff -u "$out/scenarios_j1.json" "$out/scenarios_j8.json"; then
   echo "FAIL: scenarios report differs between --jobs 1 and --jobs 8" >&2
@@ -249,6 +246,15 @@ if ! grep -q '"family": "ingested"' "$out/scn_ingested.json"; then
   exit 1
 fi
 echo "ingest round-trip byte-identical; ingested replay covered as 'ingested'"
+
+# Experiment-suite smoke: every table and figure once at a tiny scale, so
+# a panic or failed check in any experiment (not only the sweeps the
+# gates above diff) fails CI. drishti-exp all exits 1 if any experiment
+# failed; its reports land in target/sweep/. Skipped under --quick.
+if [[ $quick -eq 0 ]]; then
+  step "experiment-suite smoke (drishti-exp all)"
+  "$exp" all --mixes 1 --cores 4 --accesses 3000 >/dev/null
+fi
 
 if [[ $quick -eq 0 ]]; then
   step "release-mode oracle/golden/telemetry/scenario tests"

@@ -6,7 +6,7 @@
 //! metric is policy- and prefetcher-independent, so it is computed on the
 //! recorded LLC-level demand stream of an LRU run.
 
-use drishti_bench::ExpOpts;
+use crate::{ExpError, ExpOpts};
 use drishti_core::config::DrishtiConfig;
 use drishti_noc::slicehash::{SliceHasher, XorFoldHash};
 use drishti_policies::factory::PolicyKind;
@@ -15,9 +15,8 @@ use drishti_sim::runner::run_mix;
 use drishti_trace::mix::Mix;
 use drishti_trace::presets::Benchmark;
 
-fn main() {
-    let mut opts = ExpOpts::from_args();
-    let cores = opts.cores.pop().unwrap_or(16);
+pub fn run(opts: &ExpOpts) -> Result<(), ExpError> {
+    let cores = opts.last_cores();
     let mut rc = opts.rc(cores);
     rc.record_llc_stream = true;
     println!("# Figure 2: fraction of multi-load PCs mapping to one slice ({cores} cores)\n");
@@ -44,4 +43,5 @@ fn main() {
     }
     let mean = fractions.iter().sum::<f64>() / fractions.len() as f64;
     println!("\naverage: {mean:.1}%  (paper: 66.2% average; xalan ≈40% — lowest)");
+    Ok(())
 }

@@ -7,7 +7,7 @@
 //! Paper: myopic predictions scatter away from the oracle; the global view
 //! tracks it closely; Drishti's view ≈ the global view (Fig 18).
 
-use drishti_bench::ExpOpts;
+use crate::{ExpError, ExpOpts};
 use drishti_core::config::DrishtiConfig;
 use drishti_mem::llc::LlcGeometry;
 use drishti_policies::mockingjay::Mockingjay;
@@ -29,9 +29,12 @@ fn hottest_pc(mix: &Mix, rc: &RunConfig, cores: usize) -> u64 {
     for a in r.llc_stream.iter().filter(|a| a.kind.is_demand()) {
         *counts.entry(a.pc).or_insert(0u64) += 1;
     }
+    // Ties go to the lowest PC: `HashMap` iteration order is random per
+    // process, so breaking them by position would change the target PC
+    // (and the whole figure) from run to run.
     counts
         .into_iter()
-        .max_by_key(|&(_, c)| c)
+        .max_by_key(|&(pc, c)| (c, std::cmp::Reverse(pc)))
         .map(|(pc, _)| pc)
         .unwrap_or(0)
 }
@@ -55,9 +58,8 @@ fn summarize(label: &str, samples: &[u8]) -> f64 {
     mean
 }
 
-fn main() {
-    let mut opts = ExpOpts::from_args();
-    let cores = opts.cores.pop().unwrap_or(16);
+pub fn run(opts: &ExpOpts) -> Result<(), ExpError> {
+    let cores = opts.last_cores();
     let rc = opts.rc(cores);
     let mix = Mix::homogeneous(Benchmark::Xalan, cores, 77);
     println!("# Figure 3/18: ETR views for the hottest xalan PC ({cores} cores)\n");
@@ -99,4 +101,5 @@ fn main() {
         println!("  {label:<10} {d:.1}");
     }
     println!("\npaper: myopic deviates from oracle; global ≈ oracle; drishti ≈ global");
+    Ok(())
 }

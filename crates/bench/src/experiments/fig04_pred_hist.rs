@@ -6,7 +6,7 @@
 //! Paper: the myopic/global distributions differ much more for xalan
 //! (scattered PCs) than for pr (concentrated PCs).
 
-use drishti_bench::ExpOpts;
+use crate::{ExpError, ExpOpts};
 use drishti_core::config::DrishtiConfig;
 use drishti_policies::factory::PolicyKind;
 use drishti_sim::runner::run_mix;
@@ -32,9 +32,8 @@ fn hist_from_diag(diag: &[(String, u64)], keys: &[&str]) -> Vec<u64> {
     keys.iter().map(|k| get(k)).collect()
 }
 
-fn main() {
-    let mut opts = ExpOpts::from_args();
-    let cores = opts.cores.pop().unwrap_or(16);
+pub fn run(opts: &ExpOpts) -> Result<(), ExpError> {
+    let cores = opts.last_cores();
     let rc = opts.rc(cores);
     println!("# Figure 4: predicted-value distributions, myopic vs global view\n");
     for bench in [Benchmark::Xalan, Benchmark::PrKron] {
@@ -72,4 +71,5 @@ fn main() {
         }
     }
     println!("\npaper: divergence(xalan) >> divergence(pr) for both policies");
+    Ok(())
 }

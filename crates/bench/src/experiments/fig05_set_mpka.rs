@@ -4,16 +4,15 @@
 //! Paper: mcf — strong skew (many sets under 100 MPKA, a few very hot);
 //! gcc — milder skew; lbm — uniform MPKA across all sets (streaming).
 
-use drishti_bench::ExpOpts;
+use crate::{ExpError, ExpOpts};
 use drishti_core::config::DrishtiConfig;
 use drishti_policies::factory::PolicyKind;
 use drishti_sim::runner::run_mix;
 use drishti_trace::mix::Mix;
 use drishti_trace::presets::Benchmark;
 
-fn main() {
-    let mut opts = ExpOpts::from_args();
-    let cores = opts.cores.pop().unwrap_or(16);
+pub fn run(opts: &ExpOpts) -> Result<(), ExpError> {
+    let cores = opts.last_cores();
     let rc = opts.rc(cores);
     println!("# Figure 5: per-set MPKA distribution ({cores} cores, slice 0)\n");
     println!(
@@ -48,4 +47,5 @@ fn main() {
         );
     }
     println!("\npaper shape: cv(mcf) > cv(gcc) >> cv(lbm) ≈ 0 (uniform)");
+    Ok(())
 }

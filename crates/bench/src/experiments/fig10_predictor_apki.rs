@@ -7,19 +7,18 @@
 //! single centralized structure must absorb the *sum* of all cores'
 //! traffic, while per-core structures split it.
 
-use drishti_bench::ExpOpts;
+use crate::{ExpError, ExpOpts};
 use drishti_core::config::DrishtiConfig;
 use drishti_policies::factory::PolicyKind;
 use drishti_sim::runner::run_mix;
 
-fn main() {
-    let opts = ExpOpts::from_args();
+pub fn run(opts: &ExpOpts) -> Result<(), ExpError> {
     println!("# Figure 10: predictor accesses per kilo-instruction\n");
     println!(
         "{:<8} {:>22} {:>26}",
         "cores", "centralized (total)", "per-core global (per bank)"
     );
-    for &cores in &opts.cores {
+    for &cores in opts.cores() {
         let rc = opts.rc(cores);
         let mixes = opts.paper_mixes(cores);
         let mut centralized = Vec::new();
@@ -49,4 +48,5 @@ fn main() {
         );
     }
     println!("\npaper (32 cores): centralized >65 APKI (max 257.8); per-core 2.46 (max 8.05)");
+    Ok(())
 }

@@ -4,26 +4,26 @@
 //! Paper: D-Mockingjay ≥ Mockingjay on every mix; max 77% (mcf homo) vs
 //! 59%, xalan homo 26% vs 20%.
 
-use drishti_bench::{evaluate_mix, ExpOpts};
+use crate::{sweep_groups, write_reports, ExpError, ExpOpts, MixGroup};
 use drishti_core::config::DrishtiConfig;
 use drishti_policies::factory::PolicyKind;
 
-fn main() {
-    let mut opts = ExpOpts::from_args();
-    let cores = opts.cores.pop().unwrap_or(16);
-    let rc = opts.rc(cores);
+pub fn run(opts: &ExpOpts) -> Result<(), ExpError> {
+    let cores = opts.last_cores();
     println!("# Figure 16: per-mix WS improvement over LRU, sorted ({cores} cores)\n");
     let policies = vec![
         (PolicyKind::Mockingjay, DrishtiConfig::baseline(cores)),
         (PolicyKind::Mockingjay, DrishtiConfig::drishti(cores)),
     ];
-    let mut rows: Vec<(String, f64, f64)> = opts
-        .paper_mixes(cores)
-        .iter()
-        .map(|m| {
-            let e = evaluate_mix(m, &policies, &rc);
+    let group = MixGroup::paper(opts, cores, policies);
+    let (mut group_evals, report, timing) = sweep_groups("fig16_scurve", &[group], opts)?;
+    let mut rows: Vec<(String, f64, f64)> = group_evals
+        .remove(0)
+        .evals
+        .into_iter()
+        .map(|e| {
             (
-                e.mix.clone(),
+                e.mix,
                 e.cells[0].ws_improvement_pct,
                 e.cells[1].ws_improvement_pct,
             )
@@ -42,4 +42,5 @@ fn main() {
         "\nD-Mockingjay >= Mockingjay on {wins}/{} mixes (paper: all mixes)",
         rows.len()
     );
+    write_reports(opts, &report, &timing)
 }

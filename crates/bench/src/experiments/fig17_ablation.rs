@@ -10,15 +10,15 @@
 //! raises SPEC to ~7.4% and GAP to ~6.9%; +DSC reaches 10.2% (SPEC) /
 //! 8.5% (GAP).
 
-use drishti_bench::{
-    exit_on_sweep_failure, header, pct, sweep_groups, write_reports, ExpOpts, MixGroup,
+use crate::{
+    column_means, header, pct, row, sweep_groups, write_reports, ExpError, ExpOpts, MixEval,
+    MixGroup,
 };
 use drishti_core::config::DrishtiConfig;
 use drishti_policies::factory::PolicyKind;
 
-fn main() {
-    let mut opts = ExpOpts::from_args();
-    let cores = opts.cores.pop().unwrap_or(16);
+pub fn run(opts: &ExpOpts) -> Result<(), ExpError> {
+    let cores = opts.last_cores();
     println!("# Figure 17: Drishti enhancement ablation on Mockingjay ({cores} cores)\n");
     let policies = vec![
         (PolicyKind::Mockingjay, DrishtiConfig::baseline(cores)),
@@ -29,24 +29,15 @@ fn main() {
         (PolicyKind::Mockingjay, DrishtiConfig::drishti(cores)),
         (PolicyKind::Mockingjay, DrishtiConfig::dsc_only(cores)),
     ];
-    let group = MixGroup {
-        label: format!("{cores}c"),
-        mixes: opts.paper_mixes(cores),
-        policies,
-        rc: opts.rc(cores),
-    };
-    let (mut group_evals, report, timing) =
-        exit_on_sweep_failure(sweep_groups("fig17_ablation", &[group], &opts));
+    let group = MixGroup::paper(opts, cores, policies);
+    let (mut group_evals, report, timing) = sweep_groups("fig17_ablation", &[group], opts)?;
     let g = group_evals.remove(0);
     header(
         "mix class",
-        &["baseline", "global-view", "global+DSC", "DSC-only"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect::<Vec<_>>(),
+        &["baseline", "global-view", "global+DSC", "DSC-only"],
     );
     for (label, filter) in [("homogeneous", true), ("heterogeneous", false)] {
-        let evals: Vec<_> = g
+        let evals: Vec<&MixEval> = g
             .mixes
             .iter()
             .zip(&g.evals)
@@ -56,23 +47,10 @@ fn main() {
         if evals.is_empty() {
             continue;
         }
-        // mean_improvements wants owned evals; average directly instead.
-        let means: Vec<f64> = (0..evals[0].cells.len())
-            .map(|p| {
-                drishti_sim::metrics::mean(
-                    &evals
-                        .iter()
-                        .map(|e| e.cells[p].ws_improvement_pct)
-                        .collect::<Vec<_>>(),
-                )
-            })
-            .collect();
-        drishti_bench::row(label, &means.iter().map(|v| pct(*v)).collect::<Vec<_>>());
+        let means = column_means(evals, |c, _| c.ws_improvement_pct);
+        row(label, &means.iter().map(|v| pct(*v)).collect::<Vec<_>>());
     }
     println!("\npaper: global view contributes most of the gain; DSC adds on top");
     println!("(Mockingjay 3.8→6→9.7% homo; the DSC also halves sampled-set storage).");
-    if let Err(e) = write_reports(&opts, &report, &timing) {
-        eprintln!("error: failed to write sweep report: {e}");
-        std::process::exit(1);
-    }
+    write_reports(opts, &report, &timing)
 }

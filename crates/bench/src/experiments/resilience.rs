@@ -10,56 +10,31 @@
 //! when predictions stop arriving instead of blocking on them.
 //!
 //! Every `(policy, organisation, drop-rate)` cell is an independent
-//! [`SweepJob`] on the parallel harness — this binary drives the raw
-//! `run_sweep` API rather than the mix-evaluation layer, because its
+//! [`SweepJob`] on the parallel harness — this experiment hands its own
+//! job batch to [`run_journaled`] rather than using the mix-evaluation
+//! layer ([`crate::sweep_groups`]), because its
 //! normalisation baseline is the fault-free cell of the same variant, not
 //! LRU. A fixed fault seed carried by each job makes every row
 //! reproducible bit-for-bit at any `--jobs` width; the report lands in
 //! `target/sweep/resilience.json`.
 
-use drishti_bench::{f2, header, report_path, row, write_reports, ExpOpts};
+use crate::{f2, header, row, run_journaled, write_reports, ExpError, ExpOpts};
 use drishti_core::config::DrishtiConfig;
 use drishti_noc::faults::FaultConfig;
 use drishti_policies::factory::PolicyKind;
 use drishti_sim::config::SystemConfig;
-use drishti_sim::runner::RunConfig;
+use drishti_sim::runner::{RunConfig, RunResult};
 use drishti_sim::sampling::SamplingSpec;
-use drishti_sim::sweep::report::{SweepReport, SweepTiming};
-use drishti_sim::sweep::{journal, run_sweep_resumable, JobKind, SweepJob};
+use drishti_sim::sweep::{JobKind, SweepJob};
 use drishti_sim::telemetry::TelemetrySpec;
 use drishti_trace::mix::Mix;
 use drishti_trace::presets::Benchmark;
-use drishti_trace::replay::TraceCache;
-use std::sync::Arc;
 
 const FAULT_SEED: u64 = 42;
 const DROP_PCTS: [f64; 5] = [0.0, 5.0, 10.0, 25.0, 50.0];
 
-/// The run result of cell `idx`, or a fatal error naming exactly which
-/// cell is missing — a normalisation baseline that silently vanishes
-/// would otherwise surface as an opaque panic far from the cause.
-fn run_cell<'a>(
-    outcome: &'a drishti_sim::sweep::SweepOutcome,
-    jobs: &[SweepJob],
-    idx: usize,
-) -> &'a drishti_sim::runner::RunResult {
-    match &outcome.outputs[idx] {
-        Ok(out) => out.unwrap_run(),
-        Err(f) => {
-            eprintln!(
-                "error: baseline cell {} ({}) is missing: {}",
-                f.id,
-                jobs.get(idx).map_or("?", |j| j.label.as_str()),
-                f.message
-            );
-            std::process::exit(1);
-        }
-    }
-}
-
-fn main() {
-    let mut opts = ExpOpts::from_args();
-    let cores = opts.cores.pop().unwrap_or(8);
+pub fn run(opts: &ExpOpts) -> Result<(), ExpError> {
+    let cores = opts.last_cores();
     let mix = Mix::heterogeneous(&Benchmark::spec_and_gap(), cores, 1);
     println!(
         "# Resilience: total IPC vs. uncore message-drop rate ({cores} cores, mix {})\n",
@@ -108,26 +83,13 @@ fn main() {
         }
     }
 
-    let cache = Arc::new(TraceCache::new());
-    let journal_file = journal::journal_path(&report_path(&opts, "resilience"));
-    let outcome = run_sweep_resumable(&jobs, opts.jobs, &cache, &journal_file, opts.resume)
-        .unwrap_or_else(|err| {
-            eprintln!(
-                "error: cannot resume from {}: {err}",
-                journal_file.display()
-            );
-            std::process::exit(2);
-        });
-    let timing = SweepTiming::from_outcome("resilience", &outcome);
-    let failures = outcome.failures();
-    if !failures.is_empty() {
-        eprintln!("error: {} sweep cell(s) failed:", failures.len());
-        for f in failures {
-            eprintln!("  {f}");
-        }
-        std::process::exit(1);
-    }
-    let mut report = SweepReport::from_outcome("resilience", &jobs, &outcome);
+    let (outcome, mut report, timing) = run_journaled("resilience", &jobs, opts)?;
+    let run_cell = |idx: usize| -> &RunResult {
+        outcome.outputs[idx]
+            .as_ref()
+            .expect("run_journaled returns only complete outcomes")
+            .unwrap_run()
+    };
     report
         .config
         .push(("fault_seed".to_string(), FAULT_SEED.to_string()));
@@ -136,28 +98,21 @@ fn main() {
         .push(("accesses".to_string(), opts.accesses.to_string()));
     report.config.push(("cores".to_string(), cores.to_string()));
 
-    header(
-        "policy/org",
-        &DROP_PCTS
-            .iter()
-            .map(|p| format!("{p:.0}% drop"))
-            .collect::<Vec<_>>(),
-    );
+    header("policy/org", &DROP_PCTS.map(|p| format!("{p:.0}% drop")));
 
     for (v, (policy, org)) in variants.iter().enumerate() {
         let base = v * DROP_PCTS.len();
-        let healthy = run_cell(&outcome, &jobs, base);
+        let healthy = run_cell(base);
         if !healthy.fault_summary().is_clean() {
-            eprintln!(
-                "error: zero-rate run of {}/{org} reports faults",
+            return Err(ExpError::Failed(format!(
+                "zero-rate run of {}/{org} reports faults",
                 policy.label()
-            );
-            std::process::exit(1);
+            )));
         }
         let healthy_ipc = healthy.total_ipc();
         let mut cells = Vec::new();
         for (d, &drop_pct) in DROP_PCTS.iter().enumerate() {
-            let r = run_cell(&outcome, &jobs, base + d);
+            let r = run_cell(base + d);
             let ipc = r.total_ipc();
             let rel = if healthy_ipc > 0.0 {
                 ipc / healthy_ipc
@@ -170,7 +125,7 @@ fn main() {
             cell.metrics.push(("rel_ipc".to_string(), rel));
         }
         row(&format!("{}/{org}", policy.label()), &cells);
-        let worst = run_cell(&outcome, &jobs, base + DROP_PCTS.len() - 1).fault_summary();
+        let worst = run_cell(base + DROP_PCTS.len() - 1).fault_summary();
         println!(
             "    at 50%: mesh drops {} (retries {}), fabric fallbacks {}, dropped trainings {}",
             worst.mesh_dropped,
@@ -182,8 +137,5 @@ fn main() {
 
     println!("\ncells: absolute total IPC (relative to the same variant's fault-free run)");
     println!("graceful degradation = relative IPC declines smoothly and every run completes");
-    if let Err(e) = write_reports(&opts, &report, &timing) {
-        eprintln!("error: failed to write sweep report: {e}");
-        std::process::exit(1);
-    }
+    write_reports(opts, &report, &timing)
 }

@@ -20,8 +20,8 @@
 //! (every family × scenario × cores bucket the sweep exercised) and one
 //! `scenario_ws_improvement_pct/*` summary row per family.
 
-use drishti_bench::{
-    exit_on_sweep_failure, header, mean_improvements, pct, row, sweep_groups, write_reports,
+use crate::{
+    header, improvement_row, mean_improvements, row, sweep_groups, write_reports, ExpError,
     ExpOpts, MixGroup,
 };
 use drishti_core::config::DrishtiConfig;
@@ -41,9 +41,8 @@ fn policies(cores: usize) -> Vec<(PolicyKind, DrishtiConfig)> {
     ]
 }
 
-fn main() {
-    let opts = ExpOpts::from_args();
-    let cores = opts.cores[0];
+pub fn run(opts: &ExpOpts) -> Result<(), ExpError> {
+    let cores = opts.cores()[0];
     println!("# Scenario diversity: phase / adversarial / datacenter families\n");
 
     // Stage 1 — adversarial search. Deterministic at any worker count
@@ -74,27 +73,23 @@ fn main() {
                 .take(take)
                 .map(|&b| Mix::homogeneous(b, cores, 1))
                 .collect(),
-            policies: policies(cores),
-            rc: opts.rc(cores),
+            ..MixGroup::paper(opts, cores, policies(cores))
         },
         MixGroup {
             label: "adversarial".to_string(),
             mixes: vec![Mix::homogeneous(Benchmark::AdvScatter, cores, worst.seed)],
-            policies: policies(cores),
-            rc: opts.rc(cores),
+            ..MixGroup::paper(opts, cores, policies(cores))
         },
         MixGroup {
             label: "datacenter".to_string(),
             mixes: (1..=take as u64)
                 .map(|s| datacenter_mix(cores, s))
                 .collect(),
-            policies: policies(cores),
-            rc: opts.rc(cores),
+            ..MixGroup::paper(opts, cores, policies(cores))
         },
     ];
 
-    let (group_evals, mut report, timing) =
-        exit_on_sweep_failure(sweep_groups("scenarios", &groups, &opts));
+    let (group_evals, mut report, timing) = sweep_groups("scenarios", &groups, opts)?;
     report
         .config
         .push(("adv_worst_seed".to_string(), format!("{:#x}", worst.seed)));
@@ -106,10 +101,7 @@ fn main() {
     }
 
     println!("## Scenario coverage\n");
-    header(
-        "family/scenario",
-        &["cores".to_string(), "cells".to_string()],
-    );
+    header("family/scenario", &["cores", "cells"]);
     for c in &report.scenario_coverage {
         row(
             &format!("{}/{}", c.family, c.scenario),
@@ -118,27 +110,14 @@ fn main() {
     }
 
     println!("\n## Weighted speedup over LRU\n");
-    header(
-        "family",
-        &[
-            "mockingjay/baseline".to_string(),
-            "mockingjay/drishti".to_string(),
-        ],
-    );
+    header("family", &["mockingjay/baseline", "mockingjay/drishti"]);
     for g in &group_evals {
-        let means = mean_improvements(&g.evals);
-        row(
-            &g.label,
-            &means.iter().map(|(_, v)| pct(*v)).collect::<Vec<_>>(),
-        );
+        improvement_row(&g.label, &g.evals);
     }
     println!(
         "\npaper: slicing-awareness is argued on steady archetypes (§5); \
          these families probe re-learning, worst-case scattering and \
          consolidation isolation"
     );
-    if let Err(e) = write_reports(&opts, &report, &timing) {
-        eprintln!("error: failed to write sweep report: {e}");
-        std::process::exit(1);
-    }
+    write_reports(opts, &report, &timing)
 }

@@ -6,16 +6,15 @@
 //! Paper: Case I +16.4%, Case II +8.3%, Case III +9.5% — the high-MPKA
 //! sets carry the training signal.
 
-use drishti_bench::ExpOpts;
+use crate::{ExpError, ExpOpts};
 use drishti_core::config::{DrishtiConfig, SamplingMode};
 use drishti_policies::factory::PolicyKind;
 use drishti_sim::runner::run_mix;
 use drishti_trace::mix::Mix;
 use drishti_trace::presets::Benchmark;
 
-fn main() {
-    let mut opts = ExpOpts::from_args();
-    let cores = opts.cores.pop().unwrap_or(16);
+pub fn run(opts: &ExpOpts) -> Result<(), ExpError> {
+    let cores = opts.last_cores();
     let rc = opts.rc(cores);
     let mix = Mix::homogeneous(Benchmark::Mcf, cores, 5);
     println!("# Table 1: MPKA-informed sampled-set selection, 16-core mcf\n");
@@ -81,4 +80,5 @@ fn main() {
         );
     }
     println!("\npaper: +16.4% / +8.3% / +9.5% — Case I (high-MPKA) must win");
+    Ok(())
 }

@@ -7,7 +7,7 @@
 //! through one node (high bandwidth), global-sampler organisations
 //! broadcast every training to all predictor banks.
 
-use drishti_bench::ExpOpts;
+use crate::{ExpError, ExpOpts};
 use drishti_core::config::DrishtiConfig;
 use drishti_core::fabric::FabricKind;
 use drishti_core::org::{DesignPoint, PredictorOrg, SamplerOrg};
@@ -16,9 +16,8 @@ use drishti_sim::runner::run_mix;
 use drishti_trace::mix::Mix;
 use drishti_trace::presets::Benchmark;
 
-fn main() {
-    let mut opts = ExpOpts::from_args();
-    let cores = opts.cores.pop().unwrap_or(16);
+pub fn run(opts: &ExpOpts) -> Result<(), ExpError> {
+    let cores = opts.last_cores();
     let rc = opts.rc(cores);
     let mix = Mix::homogeneous(Benchmark::Mcf, cores, 11);
     println!("# Table 2: design-space measurement ({cores}-core mcf)\n");
@@ -48,4 +47,5 @@ fn main() {
     }
     println!("\npaper Table 2: only local-sampler + distributed (per-core) predictor");
     println!("achieves a global view with low bandwidth and no broadcast.");
+    Ok(())
 }

@@ -5,9 +5,10 @@
 //! Paper: Hawkeye 28 KB → 20.75 KB; Mockingjay 31.91 KB → 28.95 KB
 //! (savings of 7.25 KB and 2.96 KB per core).
 
+use crate::{ExpError, ExpOpts};
 use drishti_core::budget::Budget;
 
-fn main() {
+pub fn run(_opts: &ExpOpts) -> Result<(), ExpError> {
     println!("# Table 3: per-core storage budget (16-way 2 MB slice)\n");
     for (policy, make) in [
         ("Hawkeye", Budget::hawkeye as fn(bool) -> Budget),
@@ -34,4 +35,5 @@ fn main() {
         );
     }
     println!("paper: Hawkeye 28 → 20.75 KB; Mockingjay 31.91 → 28.95 KB");
+    Ok(())
 }

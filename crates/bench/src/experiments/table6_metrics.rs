@@ -8,59 +8,39 @@
 //! Paper values: WS +3.3/+5.6/+6.7/+13.3 %, HS +3.4/+5/+4.5/+12.8 %,
 //! Unfairness 1.2/1.2/1.30/1.28, MIS 41.4/40/37/34.2 %.
 
-use drishti_bench::{
-    exit_on_sweep_failure, f2, header, headline_policies, pct, sweep_groups, write_reports,
-    ExpOpts, MixGroup,
+use crate::{
+    column_means, f2, header, headline_policies, pct, row, sweep_groups, write_reports, ExpError,
+    ExpOpts, MixGroup, HEADLINE_LABELS,
 };
-use drishti_sim::metrics::mean;
 
-fn main() {
-    let mut opts = ExpOpts::from_args();
-    // Table 6 is a single-core-count table; use the largest requested.
-    let cores = opts.cores.pop().unwrap_or(16);
+pub fn run(opts: &ExpOpts) -> Result<(), ExpError> {
+    // Table 6 is a single-core-count table: the last one requested.
+    let cores = opts.last_cores();
     println!("# Table 6: multi-programmed metrics on {cores} cores\n");
     let policies = headline_policies(cores);
-    let group = MixGroup {
-        label: format!("{cores}c"),
-        mixes: opts.paper_mixes(cores),
-        policies: policies.clone(),
-        rc: opts.rc(cores),
-    };
-    let (mut group_evals, mut report, timing) =
-        exit_on_sweep_failure(sweep_groups("table6_metrics", &[group], &opts));
+    let group = MixGroup::paper(opts, cores, policies.clone());
+    let (mut group_evals, mut report, timing) = sweep_groups("table6_metrics", &[group], opts)?;
     let evals = group_evals.remove(0).evals;
-    header(
-        "metric",
-        &["hawkeye", "d-hawkeye", "mockingjay", "d-mockingjay"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect::<Vec<_>>(),
-    );
-    let per_policy =
-        |f: &dyn Fn(&drishti_bench::Cell, &drishti_bench::MixEval) -> f64| -> Vec<f64> {
-            (0..policies.len())
-                .map(|p| mean(&evals.iter().map(|e| f(&e.cells[p], e)).collect::<Vec<_>>()))
-                .collect()
-        };
-    let ws = per_policy(&|c, _| c.ws_improvement_pct);
-    drishti_bench::row(
+    header("metric", &HEADLINE_LABELS);
+    let ws = column_means(&evals, |c, _| c.ws_improvement_pct);
+    row(
         "WS improvement",
         &ws.iter().map(|v| pct(*v)).collect::<Vec<_>>(),
     );
-    let hs = per_policy(&|c, e| {
+    let hs = column_means(&evals, |c, e| {
         (c.metrics.harmonic_speedup() / e.lru_metrics.harmonic_speedup() - 1.0) * 100.0
     });
-    drishti_bench::row(
+    row(
         "HS improvement",
         &hs.iter().map(|v| pct(*v)).collect::<Vec<_>>(),
     );
-    let unf = per_policy(&|c, _| c.metrics.unfairness());
-    drishti_bench::row(
+    let unf = column_means(&evals, |c, _| c.metrics.unfairness());
+    row(
         "Unfairness",
         &unf.iter().map(|v| f2(*v)).collect::<Vec<_>>(),
     );
-    let mis = per_policy(&|c, _| c.metrics.max_individual_slowdown() * 100.0);
-    drishti_bench::row(
+    let mis = column_means(&evals, |c, _| c.metrics.max_individual_slowdown() * 100.0);
+    row(
         "MIS (%)",
         &mis.iter().map(|v| format!("{v:.1}")).collect::<Vec<_>>(),
     );
@@ -78,8 +58,5 @@ fn main() {
     }
     println!("\npaper (32 cores): WS +3.3/+5.6/+6.7/+13.3; HS +3.4/+5/+4.5/+12.8;");
     println!("                  unfairness 1.2/1.2/1.30/1.28; MIS 41.4/40/37/34.2");
-    if let Err(e) = write_reports(&opts, &report, &timing) {
-        eprintln!("error: failed to write sweep report: {e}");
-        std::process::exit(1);
-    }
+    write_reports(opts, &report, &timing)
 }

@@ -4,21 +4,20 @@
 //! samples sets (set-dueling included); EVA-style distribution policies use
 //! neither.
 //!
-//! This binary prints the matrix and *verifies each row by construction*:
+//! The experiment prints the matrix and *verifies each row by construction*:
 //! it builds every policy under the Drishti configuration and checks that
 //! predictor-fabric traffic appears exactly when the matrix says
 //! Enhancement I applies.
 
-use drishti_bench::ExpOpts;
+use crate::{ExpError, ExpOpts};
 use drishti_core::config::DrishtiConfig;
 use drishti_policies::factory::PolicyKind;
 use drishti_sim::runner::run_mix;
 use drishti_trace::mix::Mix;
 use drishti_trace::presets::Benchmark;
 
-fn main() {
-    let mut opts = ExpOpts::from_args();
-    let cores = opts.cores.pop().unwrap_or(4);
+pub fn run(opts: &ExpOpts) -> Result<(), ExpError> {
+    let cores = opts.last_cores();
     let mut rc = opts.rc(cores);
     rc.accesses_per_core = rc.accesses_per_core.min(30_000);
     rc.warmup_accesses = rc.accesses_per_core / 4;
@@ -46,11 +45,13 @@ fn main() {
         // Verify by construction: fabric traffic iff Enhancement I applies.
         let r = run_mix(&mix, pk, DrishtiConfig::drishti(cores), &rc);
         let has_traffic = r.fabric.messages > 0;
-        assert_eq!(
-            has_traffic, pred,
-            "{pk}: fabric traffic {has_traffic} but matrix says {pred}"
-        );
+        if has_traffic != pred {
+            return Err(ExpError::Failed(format!(
+                "{pk}: fabric traffic {has_traffic} but matrix says {pred}"
+            )));
+        }
     }
     println!("\nverified: predictor-fabric traffic appears exactly for the");
     println!("prediction-based rows (paper Table 7's ✓ column).");
+    Ok(())
 }

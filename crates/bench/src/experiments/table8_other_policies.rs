@@ -4,14 +4,14 @@
 //! Paper: SHiP++ 1.03 → D-SHiP++ 1.08; CHROME 1.06 → D-CHROME 1.13;
 //! Glider 1.03 → D-Glider 1.06.
 
-use drishti_bench::{evaluate_mix, header, mean_improvements, ExpOpts};
+use crate::{
+    header, mean_improvements, row, sweep_groups, write_reports, ExpError, ExpOpts, MixGroup,
+};
 use drishti_core::config::DrishtiConfig;
 use drishti_policies::factory::PolicyKind;
 
-fn main() {
-    let mut opts = ExpOpts::from_args();
-    let cores = opts.cores.pop().unwrap_or(16);
-    let rc = opts.rc(cores);
+pub fn run(opts: &ExpOpts) -> Result<(), ExpError> {
+    let cores = opts.last_cores();
     println!("# Table 8: Drishti with SHiP++, CHROME and Glider ({cores} cores)\n");
     let policies = vec![
         (PolicyKind::ShipPp, DrishtiConfig::baseline(cores)),
@@ -21,17 +21,14 @@ fn main() {
         (PolicyKind::Glider, DrishtiConfig::baseline(cores)),
         (PolicyKind::Glider, DrishtiConfig::drishti(cores)),
     ];
-    let evals: Vec<_> = opts
-        .paper_mixes(cores)
-        .iter()
-        .map(|m| evaluate_mix(m, &policies, &rc))
-        .collect();
-    let means = mean_improvements(&evals);
+    let group = MixGroup::paper(opts, cores, policies);
+    let (group_evals, report, timing) = sweep_groups("table8_other_policies", &[group], opts)?;
+    let means = mean_improvements(&group_evals[0].evals);
     header(
         "normalised WS",
-        &means.iter().map(|(n, _)| n.clone()).collect::<Vec<_>>(),
+        &means.iter().map(|(n, _)| n.as_str()).collect::<Vec<_>>(),
     );
-    drishti_bench::row(
+    row(
         "vs LRU",
         &means
             .iter()
@@ -39,4 +36,5 @@ fn main() {
             .collect::<Vec<_>>(),
     );
     println!("\npaper: 1.03→1.08 (SHiP++), 1.06→1.13 (CHROME), 1.03→1.06 (Glider)");
+    write_reports(opts, &report, &timing)
 }

@@ -1,8 +1,10 @@
-//! Experiment harness shared by the per-figure/per-table binaries.
+//! Experiment harness behind `drishti-exp`, the one binary that
+//! reproduces every table and figure of the Drishti paper.
 //!
-//! Every binary reproduces one table or figure of the Drishti paper (see
-//! DESIGN.md §4 for the index and EXPERIMENTS.md for paper-vs-measured
-//! results). They share a common protocol:
+//! `drishti-exp <name>|all [flags]` dispatches through the registry in
+//! [`experiments`]: each experiment is a module function named after its
+//! table or figure (see DESIGN.md §4 for the index and EXPERIMENTS.md for
+//! paper-vs-measured results). The mix studies share a common protocol:
 //!
 //! 1. build the paper's workload mixes ([`drishti_trace::mix`]);
 //! 2. run each mix under LRU (the baseline), measure per-core alone-IPCs;
@@ -12,50 +14,62 @@
 //!
 //! # Scale
 //!
-//! By default the binaries run *shape-preserving* reduced configurations
-//! (fewer mixes, shorter traces, 4/16 cores) so the whole suite finishes in
-//! minutes. Pass `--full` for paper-scale mixes (70), core counts
-//! (4/16/32) and longer traces; `--mixes N` / `--cores a,b,c` /
-//! `--accesses N` override individual knobs.
+//! By default the experiments run *shape-preserving* reduced
+//! configurations (fewer mixes, shorter traces, 4/16 cores) so the whole
+//! suite finishes in minutes. Pass `--full` for paper-scale mixes (70),
+//! core counts (4/16/32) and longer traces; `--mixes N` /
+//! `--cores a,b,c` / `--accesses N` override individual knobs. An
+//! experiment with its own core ladder (`scalability`, `scaling`) states
+//! it in the registry; `--cores` replaces it.
 //!
 //! # Parallelism and reports
 //!
-//! The sweep-driven binaries (`fig13_main_performance`, `table6_metrics`,
-//! `fig17_ablation`, `resilience`, `scaling`, `scenarios`) execute their
-//! cells on the [`drishti_sim::sweep`] harness: `--jobs N` picks the worker
-//! count (default: all available cores; results are bit-identical at any
-//! width), and every run writes a `drishti-sweep/v1` JSON report plus a
-//! timing sidecar to `target/sweep/` (`--report PATH` overrides the
-//! destination). The remaining binaries accept and ignore `--jobs` so
-//! `all_experiments` can forward one flag set to the whole suite.
+//! Every LRU-normalised mix study runs on the [`drishti_sim::sweep`]
+//! harness through [`sweep_groups`] (`resilience` through
+//! [`run_journaled`]): `--jobs N` picks the worker count (default: all
+//! cores; results are bit-identical at any width), `--resume` picks up a
+//! killed run from its journal, and every run writes a `drishti-sweep/v1`
+//! JSON report plus a timing sidecar to `target/sweep/<name>.json`
+//! (`--report PATH` overrides it). The experiments that read simulator
+//! internals run directly and ignore those three flags: the `run_mix`
+//! probes (`fig02_pc_scatter`, `fig04_pred_hist`,
+//! `fig05_set_mpka`, `fig10_predictor_apki`, `table1_sampling_cases`,
+//! `table2_design_space`, `table7_applicability`), `fig03_etr_views`
+//! (instrumented policy objects) and `table3_budget` (no simulation).
+
+pub mod experiments;
 
 use drishti_core::config::DrishtiConfig;
 use drishti_policies::factory::PolicyKind;
 use drishti_sim::config::SystemConfig;
 use drishti_sim::metrics::{mean, MixMetrics};
-use drishti_sim::runner::{alone_ipcs, mix_metrics, run_mix, RunConfig, RunResult};
+use drishti_sim::runner::{mix_metrics, RunConfig, RunResult};
 use drishti_sim::sampling::SamplingSpec;
 use drishti_sim::sweep::report::{SweepReport, SweepTiming};
-use drishti_sim::sweep::{journal, run_sweep_resumable, JobKind, JobOutput, SweepJob};
+use drishti_sim::sweep::{
+    journal, run_sweep_resumable, JobKind, JobOutput, SweepJob, SweepOutcome,
+};
 use drishti_sim::telemetry::TelemetrySpec;
 use drishti_trace::mix::Mix;
 use drishti_trace::replay::TraceCache;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-const OPTS_USAGE: &str = "usage: [--full] [--mixes N] [--cores a,b,c] [--accesses N] \
+/// The flags every experiment accepts.
+pub const OPTS_USAGE: &str = "[--full] [--mixes N] [--cores a,b,c] [--accesses N] \
 [--jobs N] [--report PATH] [--resume] [--telemetry] [--epoch N] \
 [--sample-interval N] [--sample-warmup N]";
 
-/// Command-line options shared by all experiment binaries.
+/// Command-line options shared by all experiments.
 #[derive(Debug, Clone)]
 pub struct ExpOpts {
     /// Paper-scale run (70 mixes, 4/16/32 cores, long traces).
     pub full: bool,
     /// Number of mixes per configuration.
     pub mixes: usize,
-    /// Core counts to evaluate.
-    pub cores: Vec<usize>,
+    /// Core counts from `--cores`, or the experiment's registry default
+    /// once resolved; read them through [`ExpOpts::cores`].
+    pub cores: Option<Vec<usize>>,
     /// Measured accesses per core.
     pub accesses: u64,
     /// Sweep worker threads (0 = all available cores).
@@ -81,7 +95,7 @@ impl Default for ExpOpts {
         ExpOpts {
             full: false,
             mixes: 6,
-            cores: vec![4, 16],
+            cores: None,
             accesses: 80_000,
             jobs: 0,
             report: None,
@@ -111,7 +125,6 @@ impl ExpOpts {
                 "--full" => {
                     opts.full = true;
                     opts.mixes = 70;
-                    opts.cores = vec![4, 16, 32];
                     opts.accesses = 400_000;
                     i += 1;
                     continue;
@@ -149,10 +162,12 @@ impl ExpOpts {
                     opts.sample_warmup = parse_num(flag, &value(args, i, flag)?)?;
                 }
                 "--cores" => {
-                    opts.cores = value(args, i, flag)?
-                        .split(',')
-                        .map(|c| parse_num("--cores", c))
-                        .collect::<Result<_, _>>()?;
+                    opts.cores = Some(
+                        value(args, i, flag)?
+                            .split(',')
+                            .map(|c| parse_num("--cores", c))
+                            .collect::<Result<_, _>>()?,
+                    );
                 }
                 other => return Err(format!("unknown argument {other}")),
             }
@@ -161,21 +176,28 @@ impl ExpOpts {
         if opts.mixes == 0 || opts.accesses == 0 {
             return Err("--mixes and --accesses must be at least 1".to_string());
         }
-        if opts.cores.is_empty() || opts.cores.contains(&0) {
+        if opts.cores().is_empty() || opts.cores().contains(&0) {
             return Err("--cores needs at least one nonzero core count".to_string());
         }
         opts.sampling_spec().validate()?;
         Ok(opts)
     }
 
-    /// Parse `std::env::args`, exiting with status 2 (and the usage
-    /// string on stderr) on malformed arguments.
-    pub fn from_args() -> Self {
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        ExpOpts::parse(&args).unwrap_or_else(|msg| {
-            eprintln!("error: {msg}\n{OPTS_USAGE}");
-            std::process::exit(2);
-        })
+    /// The core counts to evaluate: `--cores`, else the experiment's
+    /// registry default (filled in by [`experiments::Experiment::resolve`]),
+    /// else the paper's 4/16 (4/16/32 under `--full`).
+    pub fn cores(&self) -> &[usize] {
+        match &self.cores {
+            Some(cores) => cores,
+            None if self.full => &[4, 16, 32],
+            None => &[4, 16],
+        }
+    }
+
+    /// The core count of a single-configuration experiment: the last one
+    /// of [`ExpOpts::cores`] (16 by default, 32 under `--full`).
+    pub fn last_cores(&self) -> usize {
+        *self.cores().last().expect("parse rejects an empty --cores")
     }
 
     /// The telemetry spec these options describe.
@@ -221,6 +243,35 @@ pub(crate) fn parse_num<T: std::str::FromStr>(flag: &str, s: &str) -> Result<T, 
         .map_err(|_| format!("{flag} needs a number, got `{s}`"))
 }
 
+/// Why an experiment did not complete.
+#[derive(Debug)]
+pub enum ExpError {
+    /// The experiment cannot start as asked (a resume journal that
+    /// belongs to another job set): exit status 2, like a malformed flag.
+    Refused(String),
+    /// A simulation cell failed, a result check did not hold, or the
+    /// report could not be written: exit status 1.
+    Failed(String),
+}
+
+impl ExpError {
+    /// The process exit status this error maps to.
+    pub fn exit_code(&self) -> i32 {
+        match self {
+            ExpError::Refused(_) => 2,
+            ExpError::Failed(_) => 1,
+        }
+    }
+}
+
+impl std::fmt::Display for ExpError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ExpError::Refused(msg) | ExpError::Failed(msg) => f.write_str(msg),
+        }
+    }
+}
+
 /// One evaluated (mix, policy) cell.
 #[derive(Debug)]
 pub struct Cell {
@@ -250,63 +301,36 @@ pub struct MixEval {
     pub cells: Vec<Cell>,
 }
 
-/// Run `mix` under LRU and every `(policy, organisation)` pair.
-pub fn evaluate_mix(
-    mix: &Mix,
-    policies: &[(PolicyKind, DrishtiConfig)],
-    rc: &RunConfig,
-) -> MixEval {
-    let alone = alone_ipcs(mix, rc);
-    let lru = run_mix(
-        mix,
-        PolicyKind::Lru,
-        DrishtiConfig::baseline(mix.cores()),
-        rc,
-    );
-    let lru_metrics = mix_metrics(&lru, &alone);
-    let lru_ws = lru_metrics.weighted_speedup();
-    let cells = policies
-        .iter()
-        .map(|(pk, cfg)| {
-            let result = run_mix(mix, *pk, cfg.clone(), rc);
-            let metrics = mix_metrics(&result, &alone);
-            Cell {
-                policy: result.policy.clone(),
-                ws_improvement_pct: (metrics.weighted_speedup() / lru_ws - 1.0) * 100.0,
-                result,
-                metrics,
-            }
-        })
-        .collect();
-    MixEval {
-        mix: mix.name.clone(),
-        lru,
-        lru_ws,
-        lru_metrics,
-        cells,
-    }
+/// Per policy column, the mean of `f(cell, eval)` over `evals` (no
+/// columns when `evals` is empty).
+pub fn column_means<'a>(
+    evals: impl IntoIterator<Item = &'a MixEval>,
+    f: impl Fn(&Cell, &MixEval) -> f64,
+) -> Vec<f64> {
+    let evals: Vec<&MixEval> = evals.into_iter().collect();
+    let columns = evals.first().map_or(0, |e| e.cells.len());
+    (0..columns)
+        .map(|p| mean(&evals.iter().map(|e| f(&e.cells[p], e)).collect::<Vec<_>>()))
+        .collect()
 }
 
 /// Mean % WS improvement per policy across a set of mix evaluations.
 pub fn mean_improvements(evals: &[MixEval]) -> Vec<(String, f64)> {
-    if evals.is_empty() {
-        return Vec::new();
-    }
-    (0..evals[0].cells.len())
-        .map(|p| {
-            let vals: Vec<f64> = evals
-                .iter()
-                .map(|e| e.cells[p].ws_improvement_pct)
-                .collect();
-            (evals[0].cells[p].policy.clone(), mean(&vals))
-        })
-        .collect()
+    let means = column_means(evals, |c, _| c.ws_improvement_pct);
+    evals.first().map_or(Vec::new(), |e| {
+        e.cells
+            .iter()
+            .map(|c| c.policy.clone())
+            .zip(means)
+            .collect()
+    })
 }
 
 /// One batch of mixes evaluated under one `(policies, run-config)` pair —
-/// e.g. "all 4-core mixes under the headline policies". Binaries hand a
-/// list of groups to [`sweep_groups`], which flattens every group into one
-/// job batch so cells from *different* core counts also run concurrently.
+/// e.g. "all 4-core mixes under the headline policies". Experiments hand
+/// a list of groups to [`sweep_groups`], which flattens every group into
+/// one job batch so cells from *different* configurations also run
+/// concurrently.
 #[derive(Debug, Clone)]
 pub struct MixGroup {
     /// Group label used in report summaries (e.g. `"4c"`).
@@ -317,6 +341,28 @@ pub struct MixGroup {
     pub policies: Vec<(PolicyKind, DrishtiConfig)>,
     /// The run configuration shared by the group's cells.
     pub rc: RunConfig,
+}
+
+impl MixGroup {
+    /// The paper's mixes on `cores` cores under `policies` and the
+    /// options' run configuration, labelled `"<cores>c"`.
+    pub fn paper(opts: &ExpOpts, cores: usize, policies: Vec<(PolicyKind, DrishtiConfig)>) -> Self {
+        MixGroup {
+            label: format!("{cores}c"),
+            mixes: opts.paper_mixes(cores),
+            policies,
+            rc: opts.rc(cores),
+        }
+    }
+}
+
+/// One [`MixGroup::paper`] per requested core count, under the headline
+/// policies.
+pub fn headline_groups(opts: &ExpOpts) -> Vec<MixGroup> {
+    opts.cores()
+        .iter()
+        .map(|&cores| MixGroup::paper(opts, cores, headline_policies(cores)))
+        .collect()
 }
 
 /// One evaluated group: the input mixes paired with their evaluations
@@ -331,172 +377,143 @@ pub struct GroupEval {
     pub evals: Vec<MixEval>,
 }
 
-/// A sweep in which one or more cells panicked. The surviving cells are
-/// intentionally discarded: a partial figure is worse than a loud failure
-/// (CI must go red, not quietly average over the missing cells).
-#[derive(Debug)]
-pub struct SweepFailed(pub Vec<drishti_sim::sweep::JobFailure>);
-
-impl std::fmt::Display for SweepFailed {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(f, "{} sweep cell(s) failed:", self.0.len())?;
-        for fail in &self.0 {
-            writeln!(f, "  {fail}")?;
-        }
-        Ok(())
-    }
-}
-
 /// Per-mix job layout inside a group: alone-IPC baselines, the LRU
 /// normalisation run, then one run per compared policy.
 const JOBS_PER_MIX_FIXED: usize = 2;
 
+/// Run `jobs` as the sweep `name` on `opts.jobs` workers, journaled beside
+/// its report so a killed run resumes with `--resume` ([`write_reports`]
+/// removes the journal on clean completion). Returns the outcome, its base
+/// report and the host-side timing. A journal of another job set is
+/// [`ExpError::Refused`], not a silent re-run; any failed cell makes the
+/// whole sweep [`ExpError::Failed`], listing every failure, because a
+/// partial figure is worse than a loud one.
+pub fn run_journaled(
+    name: &str,
+    jobs: &[SweepJob],
+    opts: &ExpOpts,
+) -> Result<(SweepOutcome, SweepReport, SweepTiming), ExpError> {
+    let cache = Arc::new(TraceCache::new());
+    let journal_file = journal::journal_path(&report_path(opts, name));
+    let outcome = run_sweep_resumable(jobs, opts.jobs, &cache, &journal_file, opts.resume)
+        .map_err(|err| {
+            ExpError::Refused(format!(
+                "cannot resume from {}: {err}",
+                journal_file.display()
+            ))
+        })?;
+    let failures = outcome.failures();
+    if !failures.is_empty() {
+        let mut msg = format!("{} sweep cell(s) failed:", failures.len());
+        for fail in failures {
+            msg.push_str(&format!("\n  {fail}"));
+        }
+        return Err(ExpError::Failed(msg));
+    }
+    let timing = SweepTiming::from_outcome(name, &outcome);
+    let report = SweepReport::from_outcome(name, jobs, &outcome);
+    Ok((outcome, report, timing))
+}
+
 /// Evaluate every group's mixes on the parallel sweep harness.
 ///
 /// Flattens all groups into one dense job batch (per mix: one alone-IPC
-/// job, one LRU job, one job per policy), executes it on
-/// [`drishti_sim::sweep::run_sweep`] with `opts.jobs` workers and a shared
-/// [`TraceCache`], and aggregates deterministically by job id — output is
-/// bit-identical for any worker count. Returns the per-group evaluations
-/// plus the enriched [`SweepReport`] (per-cell `ws`/`ws_improvement_pct`,
-/// per-group mean-improvement summaries) and the host-side
-/// [`SweepTiming`].
+/// job, one LRU job, one job per policy), executes it with
+/// [`run_journaled`], and aggregates deterministically by job id — output
+/// is bit-identical for any worker count, and to running each cell
+/// directly with `run_mix`/`alone_ipcs`. Returns the per-group
+/// evaluations plus the enriched [`SweepReport`] (per-cell
+/// `ws`/`ws_improvement_pct`, per-group mean-improvement summaries) and
+/// the host-side [`SweepTiming`].
 pub fn sweep_groups(
     name: &str,
     groups: &[MixGroup],
     opts: &ExpOpts,
-) -> Result<(Vec<GroupEval>, SweepReport, SweepTiming), SweepFailed> {
-    let mut jobs = Vec::new();
+) -> Result<(Vec<GroupEval>, SweepReport, SweepTiming), ExpError> {
+    let mut jobs: Vec<SweepJob> = Vec::new();
     for group in groups {
-        let stride = group.policies.len() + JOBS_PER_MIX_FIXED;
         for mix in &group.mixes {
-            let base = jobs.len();
-            jobs.push(SweepJob {
-                id: base,
-                label: format!("{}/alone", mix.name),
-                seed: SweepJob::derive_seed(base),
-                rc: group.rc.clone(),
-                kind: JobKind::AloneIpcs { mix: mix.clone() },
-            });
-            jobs.push(SweepJob {
-                id: base + 1,
-                label: format!("{}/lru/baseline", mix.name),
-                seed: SweepJob::derive_seed(base + 1),
-                rc: group.rc.clone(),
-                kind: JobKind::Run {
-                    mix: mix.clone(),
-                    policy: PolicyKind::Lru,
-                    org: DrishtiConfig::baseline(mix.cores()),
-                    org_label: "baseline".to_string(),
-                },
-            });
-            for (p, (pk, cfg)) in group.policies.iter().enumerate() {
+            let mut push = |label: String, kind: JobKind| {
+                let id = jobs.len();
+                let seed = SweepJob::derive_seed(id);
+                let rc = group.rc.clone();
                 jobs.push(SweepJob {
-                    id: base + JOBS_PER_MIX_FIXED + p,
-                    label: format!("{}/{}/{}", mix.name, pk.label(), cfg.label()),
-                    seed: SweepJob::derive_seed(base + JOBS_PER_MIX_FIXED + p),
-                    rc: group.rc.clone(),
-                    kind: JobKind::Run {
+                    id,
+                    label,
+                    seed,
+                    rc,
+                    kind,
+                });
+            };
+            push(
+                format!("{}/alone", mix.name),
+                JobKind::AloneIpcs { mix: mix.clone() },
+            );
+            let lru = (PolicyKind::Lru, DrishtiConfig::baseline(mix.cores()));
+            for (pk, cfg) in std::iter::once(&lru).chain(&group.policies) {
+                push(
+                    format!("{}/{}/{}", mix.name, pk.label(), cfg.label()),
+                    JobKind::Run {
                         mix: mix.clone(),
                         policy: *pk,
                         org: cfg.clone(),
                         org_label: cfg.label(),
                     },
-                });
+                );
             }
-            debug_assert_eq!(jobs.len(), base + stride);
         }
     }
 
-    let cache = Arc::new(TraceCache::new());
-    // Every sweep is journaled beside its report: completed cells land in
-    // `<report>.journal` as they finish, so a killed run can be picked up
-    // with `--resume`. The journal is removed again by [`write_reports`]
-    // on clean completion. A journal that exists but belongs to a
-    // different job set is a hard refusal (exit 2), not a silent re-run.
-    let journal_file = journal::journal_path(&report_path(opts, name));
-    let outcome = run_sweep_resumable(&jobs, opts.jobs, &cache, &journal_file, opts.resume)
-        .unwrap_or_else(|err| {
-            eprintln!(
-                "error: cannot resume from {}: {err}",
-                journal_file.display()
-            );
-            std::process::exit(2);
-        });
-    let timing = SweepTiming::from_outcome(name, &outcome);
-    let failures: Vec<_> = outcome.failures().into_iter().cloned().collect();
-    if !failures.is_empty() {
-        return Err(SweepFailed(failures));
-    }
-    let mut report = SweepReport::from_outcome(name, &jobs, &outcome);
-    report
-        .config
-        .push(("mixes".to_string(), opts.mixes.to_string()));
-    report
-        .config
-        .push(("accesses".to_string(), opts.accesses.to_string()));
-    report.config.push((
-        "cores".to_string(),
-        groups
-            .iter()
-            .map(|g| g.rc.system.cores.to_string())
-            .collect::<Vec<_>>()
-            .join(","),
-    ));
+    let (outcome, mut report, timing) = run_journaled(name, &jobs, opts)?;
+    let cores: Vec<String> = groups
+        .iter()
+        .map(|g| g.rc.system.cores.to_string())
+        .collect();
+    let mut config = vec![
+        ("mixes", opts.mixes.to_string()),
+        ("accesses", opts.accesses.to_string()),
+        ("cores", cores.join(",")),
+    ];
     // Sampled runs are not byte-comparable to full runs, so stamp the
     // schedule into the config (only when on — full-run reports keep
     // their historical bytes).
     if opts.sampling_spec().enabled() {
-        report.config.push((
-            "sample_interval".to_string(),
-            opts.sample_interval.to_string(),
-        ));
-        report
-            .config
-            .push(("sample_warmup".to_string(), opts.sample_warmup.to_string()));
+        config.push(("sample_interval", opts.sample_interval.to_string()));
+        config.push(("sample_warmup", opts.sample_warmup.to_string()));
     }
+    report
+        .config
+        .extend(config.into_iter().map(|(k, v)| (k.to_string(), v)));
 
     // Fold outputs back into per-mix evaluations, enriching the report's
     // cells with the LRU-normalised metrics as we go. Outputs arrive in
     // job-id order, which is exactly construction order.
-    let mut outputs = outcome
-        .outputs
-        .into_iter()
-        .map(|o| o.expect("failures handled above"));
-    let mut next_id = 0;
+    let mut outputs = outcome.outputs.into_iter().enumerate();
     let mut group_evals = Vec::with_capacity(groups.len());
     for group in groups {
         let mut evals = Vec::with_capacity(group.mixes.len());
         for mix in &group.mixes {
-            let alone = match outputs.next().expect("alone output") {
-                JobOutput::AloneIpcs(a) => a,
-                JobOutput::Run(_) => unreachable!("job layout: alone first"),
+            let mut mix_outputs = outputs
+                .by_ref()
+                .take(JOBS_PER_MIX_FIXED + group.policies.len())
+                .map(|(id, o)| (id, o.expect("run_journaled returns complete outcomes")));
+            let Some((_, JobOutput::AloneIpcs(alone))) = mix_outputs.next() else {
+                unreachable!("job layout: alone first");
             };
-            let lru = match outputs.next().expect("lru output") {
-                JobOutput::Run(r) => *r,
-                JobOutput::AloneIpcs(_) => unreachable!("job layout: lru second"),
-            };
+            let mut runs = mix_outputs.map(|(id, o)| match o {
+                JobOutput::Run(r) => (id, *r),
+                JobOutput::AloneIpcs(_) => unreachable!("job layout: runs after alone"),
+            });
+            let (lru_id, lru) = runs.next().expect("lru output");
             let lru_metrics = mix_metrics(&lru, &alone);
             let lru_ws = lru_metrics.weighted_speedup();
-            let lru_id = next_id + 1;
             enrich_cell(&mut report, lru_id, lru_ws, 0.0);
-            let cells = group
-                .policies
-                .iter()
-                .enumerate()
-                .map(|(p, _)| {
-                    let result = match outputs.next().expect("policy output") {
-                        JobOutput::Run(r) => *r,
-                        JobOutput::AloneIpcs(_) => unreachable!("job layout: runs after lru"),
-                    };
+            let cells = runs
+                .map(|(id, result)| {
                     let metrics = mix_metrics(&result, &alone);
-                    let ws_improvement_pct = (metrics.weighted_speedup() / lru_ws - 1.0) * 100.0;
-                    enrich_cell(
-                        &mut report,
-                        next_id + JOBS_PER_MIX_FIXED + p,
-                        metrics.weighted_speedup(),
-                        ws_improvement_pct,
-                    );
+                    let ws = metrics.weighted_speedup();
+                    let ws_improvement_pct = (ws / lru_ws - 1.0) * 100.0;
+                    enrich_cell(&mut report, id, ws, ws_improvement_pct);
                     Cell {
                         policy: result.policy.clone(),
                         ws_improvement_pct,
@@ -505,7 +522,6 @@ pub fn sweep_groups(
                     }
                 })
                 .collect();
-            next_id += group.policies.len() + JOBS_PER_MIX_FIXED;
             evals.push(MixEval {
                 mix: mix.name.clone(),
                 lru,
@@ -518,14 +534,8 @@ pub fn sweep_groups(
         let pairs = group
             .policies
             .iter()
-            .enumerate()
-            .map(|(p, (pk, cfg))| {
-                let vals: Vec<f64> = evals
-                    .iter()
-                    .map(|e| e.cells[p].ws_improvement_pct)
-                    .collect();
-                (format!("{}/{}", pk.label(), cfg.label()), mean(&vals))
-            })
+            .map(|(pk, cfg)| format!("{}/{}", pk.label(), cfg.label()))
+            .zip(column_means(&evals, |c, _| c.ws_improvement_pct))
             .collect();
         report
             .summary
@@ -560,36 +570,27 @@ pub fn report_path(opts: &ExpOpts, name: &str) -> PathBuf {
 /// default `target/sweep/<name>.json`, and announce both on stderr
 /// together with the timing line. A successfully written report marks
 /// clean completion, so the sweep's journal (now redundant) is removed.
-/// Returns the report path.
 pub fn write_reports(
     opts: &ExpOpts,
     report: &SweepReport,
     timing: &SweepTiming,
-) -> std::io::Result<PathBuf> {
+) -> Result<(), ExpError> {
     let path = report_path(opts, &report.name);
-    report.write(&path)?;
-    journal::remove_on_success(&path)?;
+    let failed = |e: std::io::Error| ExpError::Failed(format!("failed to write sweep report: {e}"));
+    report.write(&path).map_err(failed)?;
+    journal::remove_on_success(&path).map_err(failed)?;
     // Timeline file names go in the host-dependent timing sidecar so the
     // main report stays byte-comparable with telemetry on or off.
     let mut timing = timing.clone();
     timing.attach_timelines(report, &path);
-    let timing_path = timing.write_beside(&path)?;
+    let timing_path = timing.write_beside(&path).map_err(failed)?;
     eprintln!("{}", timing.line());
     eprintln!(
         "report: {} (timing: {})",
         path.display(),
         timing_path.display()
     );
-    Ok(path)
-}
-
-/// Run a sweep-driven experiment binary's body and convert sweep
-/// failures into a nonzero exit (CI must fail when a cell errors).
-pub fn exit_on_sweep_failure<T>(result: Result<T, SweepFailed>) -> T {
-    result.unwrap_or_else(|failed| {
-        eprintln!("error: {failed}");
-        std::process::exit(1);
-    })
+    Ok(())
 }
 
 /// The four headline configurations of the paper's main figures:
@@ -603,17 +604,60 @@ pub fn headline_policies(cores: usize) -> Vec<(PolicyKind, DrishtiConfig)> {
     ]
 }
 
+/// Column labels of [`headline_policies`], in the same order.
+pub const HEADLINE_LABELS: [&str; 4] = ["hawkeye", "d-hawkeye", "mockingjay", "d-mockingjay"];
+
+/// Print a table row of `evals`' mean % WS improvement per policy column.
+pub fn improvement_row(label: &str, evals: &[MixEval]) {
+    let means = mean_improvements(evals);
+    row(
+        label,
+        &means.iter().map(|(_, v)| pct(*v)).collect::<Vec<_>>(),
+    );
+}
+
+/// A sensitivity figure: the headline policies on `cores` cores under one
+/// system variant per `(label, system)` point, over the paper's mixes
+/// (the homogeneous ones only when `homogeneous_only`). Prints one
+/// [`improvement_row`] per point and returns the sweep's report and
+/// timing for [`write_reports`].
+pub fn headline_sensitivity(
+    name: &str,
+    opts: &ExpOpts,
+    cores: usize,
+    points: Vec<(String, SystemConfig)>,
+    homogeneous_only: bool,
+) -> Result<(SweepReport, SweepTiming), ExpError> {
+    let groups: Vec<MixGroup> = points
+        .into_iter()
+        .map(|(label, system)| {
+            let mut g = MixGroup::paper(opts, cores, headline_policies(cores));
+            g.label = label;
+            g.rc.system = system;
+            if homogeneous_only {
+                g.mixes.retain(Mix::is_homogeneous);
+            }
+            g
+        })
+        .collect();
+    let (group_evals, report, timing) = sweep_groups(name, &groups, opts)?;
+    for g in &group_evals {
+        improvement_row(&g.label, &g.evals);
+    }
+    Ok((report, timing))
+}
+
 /// Print a markdown-style table row.
-pub fn row(label: &str, values: &[String]) {
+pub fn row(label: &str, values: &[impl AsRef<str>]) {
     print!("| {label:<28} |");
     for v in values {
-        print!(" {v:>12} |");
+        print!(" {:>12} |", v.as_ref());
     }
     println!();
 }
 
 /// Print a markdown-style table header.
-pub fn header(label: &str, columns: &[String]) {
+pub fn header(label: &str, columns: &[impl AsRef<str>]) {
     row(label, columns);
     print!("|{}|", "-".repeat(30));
     for _ in columns {
@@ -635,36 +679,63 @@ pub fn f2(v: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use drishti_sim::runner::{alone_ipcs, run_mix};
     use drishti_trace::presets::Benchmark;
 
     #[test]
-    fn evaluate_mix_smoke() {
-        let mix = Mix::homogeneous(Benchmark::Deepsjeng, 4, 1);
-        let rc = RunConfig {
-            system: SystemConfig::paper_baseline(4),
-            accesses_per_core: 3_000,
-            warmup_accesses: 500,
-            record_llc_stream: false,
-            sampling: SamplingSpec::off(),
-            telemetry: TelemetrySpec::off(),
-            engine: (),
+    fn sweep_groups_matches_direct_runs() {
+        let report = std::env::temp_dir().join(format!(
+            "drishti-bench-test-{}-equivalence.json",
+            std::process::id()
+        ));
+        let opts = ExpOpts {
+            accesses: 3_000,
+            jobs: 2,
+            report: Some(report.clone()),
+            ..ExpOpts::default()
         };
-        let eval = evaluate_mix(
-            &mix,
-            &[(PolicyKind::Srrip, DrishtiConfig::baseline(4))],
-            &rc,
+        let mix = Mix::homogeneous(Benchmark::Deepsjeng, 4, 1);
+        let policies = vec![
+            (PolicyKind::Srrip, DrishtiConfig::baseline(4)),
+            (PolicyKind::Mockingjay, DrishtiConfig::drishti(4)),
+        ];
+        let group = MixGroup {
+            mixes: vec![mix.clone()],
+            ..MixGroup::paper(&opts, 4, policies.clone())
+        };
+        let (mut evals, _, _) = sweep_groups("equivalence", &[group], &opts).expect("sweep");
+        journal::remove_on_success(&report).expect("journal removed");
+        let eval = evals.remove(0).evals.remove(0);
+
+        let rc = opts.rc(4);
+        let alone = alone_ipcs(&mix, &rc);
+        let lru = run_mix(&mix, PolicyKind::Lru, DrishtiConfig::baseline(4), &rc);
+        let lru_metrics = mix_metrics(&lru, &alone);
+        assert_eq!(format!("{:?}", eval.lru), format!("{lru:?}"));
+        assert_eq!(eval.lru_metrics, lru_metrics);
+        assert_eq!(
+            eval.lru_ws.to_bits(),
+            lru_metrics.weighted_speedup().to_bits()
         );
-        assert_eq!(eval.cells.len(), 1);
-        assert!(eval.lru_ws > 0.0);
-        assert!(eval.cells[0].ws_improvement_pct.is_finite());
-        let means = mean_improvements(&[eval]);
-        assert_eq!(means.len(), 1);
-        assert_eq!(means[0].0, "srrip");
+        assert_eq!(eval.cells.len(), policies.len());
+        for (cell, (pk, cfg)) in eval.cells.iter().zip(policies) {
+            let result = run_mix(&mix, pk, cfg, &rc);
+            let metrics = mix_metrics(&result, &alone);
+            let ws_improvement_pct =
+                (metrics.weighted_speedup() / lru_metrics.weighted_speedup() - 1.0) * 100.0;
+            assert_eq!(cell.policy, result.policy);
+            assert_eq!(format!("{:?}", cell.result), format!("{result:?}"));
+            assert_eq!(cell.metrics, metrics);
+            assert_eq!(
+                cell.ws_improvement_pct.to_bits(),
+                ws_improvement_pct.to_bits()
+            );
+        }
     }
 
     #[test]
     fn headline_policies_are_four() {
         let hp = headline_policies(4);
-        assert_eq!(hp.len(), 4);
+        assert_eq!(hp.len(), HEADLINE_LABELS.len());
     }
 }
